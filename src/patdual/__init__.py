@@ -37,18 +37,14 @@ from .patterns import (
     overlap_string,
     parse_alphabet,
     string_probability,
-    validate_pattern_set,
 )
 from .pgf import (
     DuelSolution,
-    Pgf,
     build_duel_matrix,
     conditional_pgf,
-    duration_coefficients,
     first_passage_pgf,
     renewal_gf_from_pgf,
     solve_duel,
-    win_prob_series,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +58,6 @@ __all__ = [
     "Pattern",
     "PatternSet",
     "PatternSetError",
-    "Pgf",
     "Poly",
     "RationalFunction",
     "SeriesPrefix",
@@ -74,7 +69,6 @@ __all__ = [
     "build_equilibrium_system",
     "conditional_pgf",
     "correlation_set",
-    "duration_coefficients",
     "first_passage_pgf",
     "max_overlap",
     "oracle_first_passage",
@@ -88,6 +82,4 @@ __all__ = [
     "solve_equilibrium",
     "solve_linear_system",
     "string_probability",
-    "validate_pattern_set",
-    "win_prob_series",
 ]

@@ -29,9 +29,10 @@ from .patterns import (
     Pattern,
     PatternSet,
     PatternSetError,
+    _contains,
     parse_alphabet,
 )
-from .pgf import first_passage_pgf, solve_duel
+from .pgf import DuelSolution, first_passage_pgf, solve_duel
 
 __all__ = ["main"]
 
@@ -59,6 +60,18 @@ def percent_str(x: Fraction, digits: int) -> str:
 
 def _exact_decimal(x: Fraction, digits: int) -> dict:
     return {"exact": str(x), "decimal": decimal_str(x, digits)}
+
+
+def _win_rows(pairs, digits: int) -> list[dict]:
+    """One {pattern, exact, decimal, percent} row per (pattern, win probability) pair."""
+    return [
+        {"pattern": p.text, **_exact_decimal(w, digits), "percent": percent_str(w, digits)}
+        for p, w in pairs
+    ]
+
+
+def _series_rows(coeffs, digits: int) -> list[dict]:
+    return [{"n": i, **_exact_decimal(c, digits)} for i, c in enumerate(coeffs)]
 
 
 def parse_patterns_option(values: list[str], alphabet: Alphabet) -> list[Pattern]:
@@ -90,30 +103,18 @@ def _rf_json(rf: RationalFunction) -> dict:
     }
 
 
-def _pgf_moments(rf: RationalFunction) -> tuple[Fraction, Fraction]:
-    """Mean and variance of the distribution a proper PGF generates."""
-    d1 = rf.derivative()
-    m1 = d1.limit_at_one()
-    m2 = d1.derivative().limit_at_one()
-    return m1, m2 + m1 - m1 * m1
-
-
 def cmd_first_passage(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
     if len(patterns) != 1:
         raise PatternSetError("first-passage requires exactly one pattern")
     pattern = patterns[0]
-    f = first_passage_pgf(pattern)
-    mean, variance = _pgf_moments(f)
-    n = args.n if args.n is not None else 4 * math.ceil(mean)
-    coeffs = f.series(n)
+    sol = DuelSolution(PatternSet(alphabet, (pattern,)), (first_passage_pgf(pattern),))
+    n = args.n if args.n is not None else 4 * math.ceil(sol.mean)
     return {
         "pattern": pattern.text,
-        "pgf": _rf_json(f),
-        "mean": _exact_decimal(mean, args.digits),
-        "variance": _exact_decimal(variance, args.digits),
-        "coefficients": [
-            {"n": i, **_exact_decimal(c, args.digits)} for i, c in enumerate(coeffs)
-        ],
+        "pgf": _rf_json(sol.duration),
+        "mean": _exact_decimal(sol.mean, args.digits),
+        "variance": _exact_decimal(sol.variance, args.digits),
+        "coefficients": _series_rows(sol.duration.series(n), args.digits),
     }
 
 
@@ -123,17 +124,9 @@ def cmd_duel(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
     ps = PatternSet(alphabet, tuple(patterns))
     results: dict = {"method": args.method}
 
-    if args.method in ("pgf", "both"):
+    if args.method != "equilibrium":
         sol = solve_duel(ps)
-        results["win"] = [
-            {
-                "pattern": p.text,
-                "exact": str(wp),
-                "decimal": decimal_str(wp, args.digits),
-                "percent": percent_str(wp, args.digits),
-            }
-            for p, wp in zip(ps.patterns, sol.win_probs)
-        ]
+        results["win"] = _win_rows(zip(ps.patterns, sol.win_probs), args.digits)
         results["duration"] = {
             "mean": _exact_decimal(sol.mean, args.digits),
             "variance": _exact_decimal(sol.variance, args.digits),
@@ -141,41 +134,19 @@ def cmd_duel(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
             "skewness": f"{sol.skewness:.{args.digits}f}",
         }
         if args.n is not None:
-            results["coefficients"] = [
-                {"n": i, **_exact_decimal(c, args.digits)}
-                for i, c in enumerate(sol.duration.series(args.n))
-            ]
-    if args.method in ("equilibrium", "both"):
+            results["coefficients"] = _series_rows(sol.duration.series(args.n), args.digits)
+    if args.method != "pgf":
         eq = solve_equilibrium(ps)
-        eq_block = {
-            "rates": [str(yi) for yi in eq.y],
-            "win": [
-                {
-                    "pattern": p.text,
-                    "exact": str(wp),
-                    "decimal": decimal_str(wp, args.digits),
-                    "percent": percent_str(wp, args.digits),
-                }
-                for p, wp in zip(ps.patterns, eq.win_probs)
-            ],
-            "expected_duration": _exact_decimal(eq.expected_duration, args.digits),
-        }
+        rates = [str(yi) for yi in eq.y]
+        win = _win_rows(zip(ps.patterns, eq.win_probs), args.digits)
+        mean = _exact_decimal(eq.expected_duration, args.digits)
         if args.method == "equilibrium":
-            results["win"] = eq_block["win"]
-            results["duration"] = {"mean": eq_block["expected_duration"]}
-            results["rates"] = eq_block["rates"]
-        else:
-            results["equilibrium"] = eq_block
-    if args.method == "both":
-        agree = (
-            tuple(w["exact"] for w in results["win"])
-            == tuple(w["exact"] for w in results["equilibrium"]["win"])
-            and results["duration"]["mean"]["exact"]
-            == results["equilibrium"]["expected_duration"]["exact"]
-        )
-        if not agree:
+            results.update(win=win, duration={"mean": mean}, rates=rates)
+        elif (eq.win_probs, eq.expected_duration) != (sol.win_probs, sol.mean):
             raise CrossCheckError("generating-function and stationary-rate results disagree")
-        results["cross_check"] = "ok"
+        else:
+            results["equilibrium"] = {"rates": rates, "win": win, "expected_duration": mean}
+            results["cross_check"] = "ok"
     return results
 
 
@@ -222,13 +193,6 @@ def cmd_best_response(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict
     if len(patterns) != 1:
         raise PatternSetError("best-response requires exactly one opponent pattern")
     opponent = patterns[0]
-    if args.length < 1:
-        raise PatternSetError("response length must be >= 1")
-
-    def contains(hay: tuple[int, ...], needle: tuple[int, ...]) -> bool:
-        k = len(needle)
-        return any(hay[i : i + k] == needle for i in range(len(hay) - k + 1))
-
     ranked = []
     skipped = []
     for symbols in itertools.product(range(len(alphabet)), repeat=args.length):
@@ -236,10 +200,10 @@ def cmd_best_response(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict
         if symbols == opponent.symbols:
             skipped.append({"pattern": candidate.text, "reason": "identical to opponent"})
             continue
-        if contains(opponent.symbols, symbols):
+        if _contains(opponent.symbols, symbols):
             skipped.append({"pattern": candidate.text, "reason": "substring of opponent"})
             continue
-        if contains(symbols, opponent.symbols):
+        if _contains(symbols, opponent.symbols):
             skipped.append({"pattern": candidate.text, "reason": "contains opponent"})
             continue
         sol = solve_duel(PatternSet(alphabet, (candidate, opponent)))
@@ -248,53 +212,60 @@ def cmd_best_response(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict
     return {
         "opponent": opponent.text,
         "length": args.length,
-        "candidates": [
-            {
-                "pattern": cand.text,
-                "exact": str(wp),
-                "decimal": decimal_str(wp, args.digits),
-                "percent": percent_str(wp, args.digits),
-            }
-            for wp, _, cand in ranked
-        ],
+        "candidates": _win_rows(((cand, wp) for wp, _, cand in ranked), args.digits),
         "skipped": skipped,
     }
 
 
+_SERIES_COLUMNS = ["n", "exact", "decimal"]
+_WIN_COLUMNS = ["pattern", "exact", "decimal", "percent"]
+
+
+def _primary_table(doc: dict) -> tuple[list[str], list[dict]]:
+    """Columns and rows of the table each command's output is built around."""
+    command, results = doc["command"], doc["results"]
+    if command == "first-passage":
+        return _SERIES_COLUMNS, results["coefficients"]
+    if command == "best-response":
+        return ["rank", *_WIN_COLUMNS], [{"rank": i + 1, **c} for i, c in enumerate(results["candidates"])]
+    if command == "simulate":
+        return ["pattern", "exact", "exact_decimal", "empirical", "z"], results["win"]
+    return _WIN_COLUMNS, results["win"]
+
+
 def _render_table(doc: dict, out) -> None:
-    results = doc["results"]
-    print(f"command:  {doc['command']}", file=out)
+    command, results = doc["command"], doc["results"]
+    print(f"command:  {command}", file=out)
     alpha_txt = ", ".join(a["symbol"] + ":" + a["prob"] for a in doc["alphabet"])
     print(f"alphabet: {alpha_txt}", file=out)
     print(f"patterns: {', '.join(doc['patterns'])}", file=out)
     print(file=out)
 
-    def table(rows: list[dict], columns: list[str]) -> None:
-        widths = [max(len(col), *(len(str(r.get(col, ""))) for r in rows)) for col in columns]
+    def table(columns: list[str], rows: list[dict]) -> None:
+        widths = [max([len(col), *(len(str(r[col])) for r in rows)]) for col in columns]
         print("  ".join(col.ljust(w) for col, w in zip(columns, widths)), file=out)
         for r in rows:
-            print("  ".join(str(r.get(col, "")).ljust(w) for col, w in zip(columns, widths)), file=out)
+            print("  ".join(str(r[col]).ljust(w) for col, w in zip(columns, widths)), file=out)
 
-    if "pgf" in results:
+    if command == "first-passage":
         print(f"pattern {results['pattern']}", file=out)
         print(f"  pgf numerator:   {results['pgf']['numerator']}", file=out)
         print(f"  pgf denominator: {results['pgf']['denominator']}", file=out)
         print(f"  mean trials:     {results['mean']['exact']} ~ {results['mean']['decimal']}", file=out)
         print(f"  variance:        {results['variance']['exact']} ~ {results['variance']['decimal']}", file=out)
         print(file=out)
-        table(results["coefficients"], ["n", "exact", "decimal"])
-    elif "candidates" in results:
+    elif command == "best-response":
         print(f"responses of length {results['length']} against {results['opponent']}", file=out)
         print(file=out)
-        rows = [{"rank": i + 1, **c} for i, c in enumerate(results["candidates"])]
-        table(rows, ["rank", "pattern", "exact", "decimal", "percent"])
-        if results["skipped"]:
-            print(file=out)
-            print("skipped: " + ", ".join(f"{s['pattern']} ({s['reason']})" for s in results["skipped"]), file=out)
-    elif "games" in results:
+    elif command == "simulate":
         print(f"games: {results['games']}  seed: {results['seed']}", file=out)
         print(file=out)
-        table(results["win"], ["pattern", "exact", "exact_decimal", "empirical", "z"])
+    table(*_primary_table(doc))
+
+    if command == "best-response" and results["skipped"]:
+        print(file=out)
+        print("skipped: " + ", ".join(f"{s['pattern']} ({s['reason']})" for s in results["skipped"]), file=out)
+    elif command == "simulate":
         dur = results["duration"]
         print(file=out)
         print(
@@ -302,43 +273,46 @@ def _render_table(doc: dict, out) -> None:
             f"  empirical {dur['empirical_mean']}  z {dur['z']}",
             file=out,
         )
-    else:
-        table(results["win"], ["pattern", "exact", "decimal", "percent"])
+    elif command == "duel":
         print(file=out)
         dur = results["duration"]
         line = f"duration mean: {dur['mean']['exact']} ~ {dur['mean']['decimal']}"
-        if "std" in dur:
-            line += f"  std: {dur['std']}  skewness: {dur['skewness']}"
-        print(line, file=out)
-        if "rates" in results:
+        if results["method"] == "equilibrium":
+            print(line, file=out)
             print(f"stationary rates: {', '.join(results['rates'])}", file=out)
-        if "equilibrium" in results:
+        else:
+            print(f"{line}  std: {dur['std']}  skewness: {dur['skewness']}", file=out)
+        if results["method"] == "both":
             print(f"cross-check (stationary route): {results['cross_check']}", file=out)
-        if "coefficients" in results:
+        series = results.get("coefficients")
+        if series is not None:
             print(file=out)
-            table(results["coefficients"], ["n", "exact", "decimal"])
+            table(_SERIES_COLUMNS, series)
 
 
 def _render_csv(doc: dict, out) -> None:
-    """Primary table as CSV; coefficient tables win when present (plotting hook)."""
-    results = doc["results"]
+    """The primary table as CSV; a coefficient series comes first when present (plotting hook)."""
+    series = doc["results"].get("coefficients")
+    columns, rows = (_SERIES_COLUMNS, series) if series is not None else _primary_table(doc)
     writer = csv.writer(out)
-    if "coefficients" in results:
-        writer.writerow(["n", "exact", "decimal"])
-        for row in results["coefficients"]:
-            writer.writerow([row["n"], row["exact"], row["decimal"]])
-    elif "candidates" in results:
-        writer.writerow(["rank", "pattern", "exact", "decimal", "percent"])
-        for i, row in enumerate(results["candidates"]):
-            writer.writerow([i + 1, row["pattern"], row["exact"], row["decimal"], row["percent"]])
-    elif "games" in results:
-        writer.writerow(["pattern", "exact", "exact_decimal", "empirical", "z"])
-        for row in results["win"]:
-            writer.writerow([row["pattern"], row["exact"], row["exact_decimal"], row["empirical"], row["z"]])
-    else:
-        writer.writerow(["pattern", "exact", "decimal", "percent"])
-        for row in results["win"]:
-            writer.writerow([row["pattern"], row["exact"], row["decimal"], row["percent"]])
+    writer.writerow(columns)
+    writer.writerows([row[col] for col in columns] for row in rows)
+
+
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in [low, high), so that other values are usage errors (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value >= high):
+            upper = "" if high is None else f" and < {high}"
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}{upper}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,26 +330,26 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             help="comma-separated patterns; repeat the flag for multi-character-label alphabets",
         )
-        p.add_argument("--digits", type=int, default=4, help="decimal digits in renderings")
+        p.add_argument("--digits", type=_int_in(0), default=4, help="decimal digits in renderings")
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     p = sub.add_parser("first-passage", help="distribution of trials until one pattern appears")
     add_common(p)
-    p.add_argument("--n", type=int, default=None, help="series length (default 4x mean)")
+    p.add_argument("--n", type=_int_in(0), default=None, help="series length (default 4x mean)")
 
     p = sub.add_parser("duel", help="race several patterns against each other")
     add_common(p)
     p.add_argument("--method", choices=("pgf", "equilibrium", "both"), default="pgf")
-    p.add_argument("--n", type=int, default=None, help="also emit duration coefficients up to n")
+    p.add_argument("--n", type=_int_in(0), default=None, help="also emit duration coefficients up to n")
 
     p = sub.add_parser("simulate", help="Monte Carlo cross-check of a race")
     add_common(p)
-    p.add_argument("--games", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--games", type=_int_in(1), required=True)
+    p.add_argument("--seed", type=_int_in(0, 2**64), default=0)
 
     p = sub.add_parser("best-response", help="rank all responses of a given length")
     add_common(p)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=_int_in(1), required=True)
 
     return parser
 
@@ -392,11 +366,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
-        if args.digits < 0:
-            raise ParseError("--digits must be >= 0")
         alphabet = parse_alphabet(args.alphabet)
         patterns = parse_patterns_option(args.patterns, alphabet)
-        results = _COMMANDS[args.command](args, alphabet, patterns)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # exact results print in full, however many digits they have
+        try:
+            results = _COMMANDS[args.command](args, alphabet, patterns)
+        finally:
+            sys.set_int_max_str_digits(limit)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,6 @@ __all__ = [
     "overlap_string",
     "parse_alphabet",
     "string_probability",
-    "validate_pattern_set",
 ]
 
 SymbolSeq = tuple[int, ...]
@@ -243,13 +242,6 @@ class PatternSet:
 
     def __iter__(self):
         return iter(self.patterns)
-
-
-def validate_pattern_set(patterns: Sequence[Pattern]) -> PatternSet:
-    """Build a PatternSet from patterns sharing an alphabet, or raise."""
-    if not patterns:
-        raise PatternSetError("pattern set must contain at least one pattern")
-    return PatternSet(patterns[0].alphabet, tuple(patterns))
 
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+/\d+$")

@@ -22,13 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import (
-    Poly,
-    RationalFunction,
-    SeriesPrefix,
-    SingularMatrixError,
-    solve_linear_system,
-)
+from .algebra import Poly, RationalFunction, SingularMatrixError, solve_linear_system
 from .patterns import (
     Alphabet,
     Pattern,
@@ -40,19 +34,12 @@ from .patterns import (
 
 __all__ = [
     "DuelSolution",
-    "Pgf",
     "build_duel_matrix",
     "conditional_pgf",
-    "duration_coefficients",
     "first_passage_pgf",
     "renewal_gf_from_pgf",
     "solve_duel",
-    "win_prob_series",
 ]
-
-# A probability generating function is an ordinary rational function; the
-# name records intent at API boundaries.
-Pgf = RationalFunction
 
 
 def _first_passage_rf(symbols: tuple[int, ...], alphabet: Alphabet) -> RationalFunction:
@@ -70,12 +57,12 @@ def _first_passage_rf(symbols: tuple[int, ...], alphabet: Alphabet) -> RationalF
     return RationalFunction(lead, lead + one_minus_z * overlap_sum)
 
 
-def first_passage_pgf(pattern: Pattern) -> Pgf:
+def first_passage_pgf(pattern: Pattern) -> RationalFunction:
     """PGF of the number of trials until the pattern first completes."""
     return _first_passage_rf(pattern.symbols, pattern.alphabet)
 
 
-def renewal_gf_from_pgf(f: Pgf) -> RationalFunction:
+def renewal_gf_from_pgf(f: RationalFunction) -> RationalFunction:
     """Generating function of completion-at-trial-n probabilities, u_0 = 1.
 
     Under the reset rule (consecutive completions may not overlap) the
@@ -87,7 +74,7 @@ def renewal_gf_from_pgf(f: Pgf) -> RationalFunction:
     return one / (one - f)
 
 
-def conditional_pgf(i: Pattern, j: Pattern) -> Pgf:
+def conditional_pgf(i: Pattern, j: Pattern) -> RationalFunction:
     """PGF of trials to complete pattern i right after pattern j finished.
 
     The usable head start is the longest suffix of j that is a prefix of i,
@@ -118,36 +105,52 @@ def build_duel_matrix(ps: PatternSet) -> list[list[RationalFunction]]:
 
 
 class DuelSolution:
-    """Win generating functions of a race plus its duration distribution.
+    """Everything the solved win generating functions of a race imply.
 
-    `x[i]` generates the probabilities of pattern i winning at each trial;
-    win probabilities are their z -> 1 limits and always sum to 1.  The
-    duration PGF is the sum of the x entries.  Variance and skewness are
-    derived lazily from higher derivatives, which are substantially more
-    expensive than the mean.
+    `x[i]` generates the probabilities of pattern i winning at each trial.
+    Every other attribute is computed from `x` when first read and then
+    kept: the win probabilities are the z -> 1 limits of the x entries
+    (`solve_duel` checks that they sum to 1), the duration PGF D is the sum
+    of the x entries, and the moments come from one chain of derivatives
+    D', D'', D''' in which each link is built at most once.  With one
+    pattern and x = (its first-passage PGF,), the same attributes describe
+    that pattern's waiting time.
     """
 
-    def __init__(
-        self,
-        pattern_set: PatternSet,
-        x: tuple[RationalFunction, ...],
-        win_probs: tuple[Fraction, ...],
-        duration: Pgf,
-        mean: Fraction,
-    ):
+    def __init__(self, pattern_set: PatternSet, x: tuple[RationalFunction, ...]):
         self.pattern_set = pattern_set
         self.x = x
-        self.win_probs = win_probs
-        self.duration = duration
-        self.mean = mean
+
+    @cached_property
+    def win_probs(self) -> tuple[Fraction, ...]:
+        return tuple(xi.limit_at_one() for xi in self.x)
+
+    @cached_property
+    def duration(self) -> RationalFunction:
+        duration = self.x[0]
+        for xi in self.x[1:]:
+            duration = duration + xi
+        return duration
+
+    @cached_property
+    def _first_derivative(self) -> RationalFunction:
+        return self.duration.derivative()
+
+    @cached_property
+    def _second_derivative(self) -> RationalFunction:
+        return self._first_derivative.derivative()
+
+    @cached_property
+    def mean(self) -> Fraction:
+        return self._first_derivative.limit_at_one()
 
     @cached_property
     def _second_factorial_moment(self) -> Fraction:
-        return self.duration.derivative().derivative().limit_at_one()
+        return self._second_derivative.limit_at_one()
 
     @cached_property
     def _third_factorial_moment(self) -> Fraction:
-        return self.duration.derivative().derivative().derivative().limit_at_one()
+        return self._second_derivative.derivative().limit_at_one()
 
     @cached_property
     def variance(self) -> Fraction:
@@ -181,7 +184,7 @@ class DuelSolution:
 
 
 def solve_duel(ps: PatternSet) -> DuelSolution:
-    """Solve the race: win probabilities, duration PGF, and its moments."""
+    """Solve the race; the duration PGF and its moments are derived on first use."""
     matrix = build_duel_matrix(ps)
     ones = [RationalFunction.one()] * len(ps)
     try:
@@ -190,21 +193,8 @@ def solve_duel(ps: PatternSet) -> DuelSolution:
         names = ", ".join(str(p) for p in ps.patterns)
         raise SingularMatrixError(exc.column, f"race system singular for patterns {names}") from exc
 
-    win_probs = tuple(xi.limit_at_one() for xi in x)
-    if sum(win_probs) != 1:
+    sol = DuelSolution(ps, tuple(x))
+    if sum(sol.win_probs) != 1:
         raise ArithmeticError("win probabilities do not sum to 1; inputs violate an invariant")
-    duration = x[0]
-    for xi in x[1:]:
-        duration = duration + xi
-    mean = duration.derivative().limit_at_one()
-    return DuelSolution(ps, tuple(x), win_probs, duration, mean)
+    return sol
 
-
-def duration_coefficients(sol: DuelSolution, n: int) -> SeriesPrefix:
-    """Probabilities of the race ending at exactly trials 0..n."""
-    return sol.duration.series(n)
-
-
-def win_prob_series(sol: DuelSolution, i: int, n: int) -> SeriesPrefix:
-    """Probabilities of pattern i winning at exactly trials 0..n."""
-    return sol.x[i].series(n)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -160,6 +161,13 @@ def test_best_response_examples(capsys):
         {"pattern": "T", "exact": "2/3", "decimal": "0.6667", "percent": "66.67%"}
     ]
 
+    # every candidate skipped: the table has a header and no rows
+    code, out, _ = run(
+        capsys, "best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HT", "--length", "1"
+    )
+    assert code == 0
+    assert "skipped: H (substring of opponent), T (substring of opponent)" in out
+
 
 def test_best_response_long_opponent_includes_strong_counter(capsys):
     doc = run_json(
@@ -187,6 +195,22 @@ def test_csv_output_is_parseable(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["pattern", "exact", "decimal", "percent"]
     assert rows[1][1] == "1/4"
+
+    code, out, _ = run(
+        capsys, "duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH",
+        "--n", "3", "--format", "csv",
+    )
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows == [["n", "exact", "decimal"], ["0", "0", "0.0000"], ["1", "0", "0.0000"],
+                    ["2", "1/2", "0.5000"], ["3", "1/4", "0.2500"]]
+
+    code, out, _ = run(
+        capsys, "best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH",
+        "--length", "2", "--format", "csv",
+    )
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["rank", "pattern", "exact", "decimal", "percent"]
+    assert rows[1] == ["1", "TH", "3/4", "0.7500", "75.00%"]
 
 
 def test_multi_character_labels_use_repeated_flags(capsys):
@@ -238,3 +262,76 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["duel", "--patterns", "HH,TH"])
     assert exc.value.code == 2
+
+
+def test_exact_values_of_any_size(capsys):
+    limit = sys.get_int_max_str_digits()
+    p = F(1, 10**6)
+    doc = run_json(
+        capsys, "first-passage", "--alphabet", f"H:{p},T:{1 - p}", "--patterns", "H", "--n", "800"
+    )
+    assert sys.get_int_max_str_digits() == limit
+    last = doc["results"]["coefficients"][-1]["exact"]
+    assert len(last) > limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert F(last) == p * (1 - p) ** 799
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["duel", "--patterns", "HH,TH", "--n", "-1"],
+        ["simulate", "--patterns", "HH,TH", "--games", "0"],
+        ["best-response", "--patterns", "HH", "--length", "0"],
+        ["simulate", "--patterns", "HH,TH", "--games", "10", "--seed", "-1"],
+        ["simulate", "--patterns", "HH,TH", "--games", "10", "--seed", str(2**64)],
+        ["duel", "--patterns", "HH,TH", "--digits", "-1"],
+    ],
+)
+def test_bad_flag_values_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--alphabet", "H:1/2,T:1/2"])
+    assert exc.value.code == 2
+
+
+def test_largest_seed_is_accepted(capsys):
+    doc = run_json(
+        capsys, "simulate", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH",
+        "--games", "10", "--seed", str(2**64 - 1),
+    )
+    assert doc["results"]["seed"] == 2**64 - 1
+
+
+def test_benchmark_tracer_leaves_output_unchanged(capsys, monkeypatch):
+    """bench/tracing.py patches package names from outside; a rename must fail here."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import tracing
+
+    requests = [
+        ["duel", "--alphabet", "H:1/3,T:2/3", "--patterns", "HHT,THH", "--method", "both"],
+        ["first-passage", "--alphabet", "H:1/2,T:1/2", "--patterns", "HTH", "--n", "5", "--format", "csv"],
+        ["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HHT", "--length", "3"],
+        ["simulate", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--games", "500", "--format", "json"],
+    ]
+    untraced = [run(capsys, *argv) for argv in requests]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = []
+        for request_id, argv in enumerate(requests):
+            with tracer.request_span(request_id):
+                traced.append(run(capsys, *argv))
+    finally:
+        tracer.uninstall()
+
+    assert all(code == 0 for code, _, _ in untraced)
+    assert traced == untraced
+    _, _, calls = tracer.self_times()
+    for span in ("cli.argparse", "cli.render", "patterns.parse", "patterns.set_build", "pgf.solve_duel",
+                 "pgf.first_passage", "pgf.matrix", "pgf.moments", "algebra.gcd", "algebra.derivative",
+                 "algebra.limit", "algebra.series", "algebra.solve", "equilibrium.solve",
+                 "oracle.simulate", "oracle.automaton"):
+        assert calls[span] > 0, span

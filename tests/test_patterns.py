@@ -16,7 +16,6 @@ from patdual.patterns import (
     overlap_string,
     parse_alphabet,
     string_probability,
-    validate_pattern_set,
 )
 
 COIN = Alphabet.coin(F(1, 2))
@@ -153,7 +152,8 @@ def test_pattern_set_validation():
     with pytest.raises(PatternSetError):
         PatternSet(COIN, ())
 
-    ps = validate_pattern_set([pat("HH"), pat("TT")])
+    pats = [pat("HH"), pat("TT")]
+    ps = PatternSet(pats[0].alphabet, tuple(pats))
     assert ps.alphabet == COIN
 
 

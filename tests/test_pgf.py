@@ -1,21 +1,33 @@
+import contextlib
+import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from patdual.algebra import Poly, RationalFunction
+from patdual.cli import main
 from patdual.oracle import oracle_first_passage, oracle_win_probs
-from patdual.patterns import Alphabet, Pattern, PatternSet, overlap_string, string_probability
+from patdual.patterns import (
+    Alphabet,
+    Pattern,
+    PatternSet,
+    PatternSetError,
+    overlap_string,
+    string_probability,
+)
 from patdual.pgf import (
+    DuelSolution,
     build_duel_matrix,
     conditional_pgf,
-    duration_coefficients,
     first_passage_pgf,
     renewal_gf_from_pgf,
     solve_duel,
-    win_prob_series,
 )
 
 RF = RationalFunction
@@ -264,13 +276,13 @@ def test_residual_identity_holds_exactly():
 
 def test_duration_coefficients_examples():
     sol = solve_duel(pset("H", "T"))
-    assert duration_coefficients(sol, 4) == (F(0), F(1), F(0), F(0), F(0))
+    assert sol.duration.series(4) == (F(0), F(1), F(0), F(0), F(0))
 
     sol = solve_duel(pset("HH", "TH"))
-    assert duration_coefficients(sol, 2)[2] == F(1, 2)
+    assert sol.duration.series(2)[2] == F(1, 2)
 
     sol = solve_duel(pset("TTTHTTT", "TTHTTTTHT"))
-    coeffs = duration_coefficients(sol, 12)
+    coeffs = sol.duration.series(12)
     assert all(c == 0 for c in coeffs[:7])
     assert all(0 <= c <= 1 for c in coeffs)
     assert sum(coeffs) <= 1
@@ -279,11 +291,11 @@ def test_duration_coefficients_examples():
 def test_win_prob_series_examples():
     biased = Alphabet.coin(F(1, 3))
     sol = solve_duel(pset("H", "T", alphabet=biased))
-    assert win_prob_series(sol, 0, 3) == (F(0), F(1, 3), F(0), F(0))
+    assert sol.x[0].series(3) == (F(0), F(1, 3), F(0), F(0))
 
     sol = solve_duel(pset("HH", "TH"))
-    assert win_prob_series(sol, 0, 2)[0] == 0
-    assert win_prob_series(sol, 0, 2)[2] == F(1, 4)
+    assert sol.x[0].series(2)[0] == 0
+    assert sol.x[0].series(2)[2] == F(1, 4)
 
 
 def test_win_prob_series_matches_enumeration():
@@ -291,8 +303,8 @@ def test_win_prob_series_matches_enumeration():
     for ps in (pset("HH", "TH"), pset("HHH", "TTT", alphabet=Alphabet.coin(F(1, 3)))):
         sol = solve_duel(ps)
         expected = brute_force_first_wins(ps, n)
-        dur = duration_coefficients(sol, n)
-        per_pattern = [win_prob_series(sol, i, n) for i in range(len(ps))]
+        dur = sol.duration.series(n)
+        per_pattern = [sol.x[i].series(n) for i in range(len(ps))]
         for i in range(len(ps)):
             assert list(per_pattern[i]) == expected[i]
         for t in range(n + 1):
@@ -319,3 +331,71 @@ def test_duel_agrees_with_chain_solver_on_random_triples():
         assert sol.mean == stats.mean
         assert sol.variance == stats.variance
         found += 1
+
+
+def count_derivatives(monkeypatch) -> list:
+    calls = []
+    derivative = RF.derivative
+
+    def counted(self):
+        calls.append(self)
+        return derivative(self)
+
+    monkeypatch.setattr(RF, "derivative", counted)
+    return calls
+
+
+def test_moments_share_one_derivative_chain(monkeypatch):
+    calls = count_derivatives(monkeypatch)
+    sol = solve_duel(pset("TTTHTTT", "TTHTTTTHT"))
+    assert sol.win_probs == (F(62, 71), F(9, 71))
+    assert len(calls) == 0  # win probabilities need no derivative
+
+    sol.mean, sol.variance, sol.skewness
+    assert len(calls) == 3  # D', D'' and D''', each built once
+    sol.third_central_moment, sol.std, sol.mean
+    assert len(calls) == 3
+
+
+def test_first_passage_solution_matches_chain_solver():
+    for alphabet, text in ((COIN, "HTH"), (Alphabet.coin(F(1, 3)), "HHTH"), (Alphabet.uniform("123"), "121")):
+        ps = pset(text, alphabet=alphabet)
+        f = first_passage_pgf(ps.patterns[0])
+        sol = DuelSolution(ps, (f,))
+        stats = oracle_win_probs(ps)
+        assert sol.win_probs == (1,)
+        assert sol.duration == f
+        assert (sol.mean, sol.variance) == (stats.mean, stats.variance)
+
+
+@st.composite
+def races(draw):
+    """2-3 valid patterns of length <= 4 over a biased alphabet of 2-4 symbols."""
+    labels = "ABCD"[: draw(st.integers(2, 4))]
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(labels), max_size=len(labels)))
+    alphabet = Alphabet(tuple(labels), tuple(F(w, sum(weights)) for w in weights))
+    texts = draw(st.lists(st.text(labels, min_size=1, max_size=4), min_size=2, max_size=3))
+    try:
+        return PatternSet(alphabet, tuple(Pattern.parse(t, alphabet) for t in texts))
+    except PatternSetError:
+        assume(False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(races())
+def test_race_invariants_and_json_round_trip(ps):
+    sol = solve_duel(ps)
+    assert sum(sol.win_probs) == 1
+    assert sol.duration.limit_at_one() == 1
+    stats = oracle_win_probs(ps)
+    assert (sol.mean, sol.variance) == (stats.mean, stats.variance)
+
+    alphabet = ",".join(f"{s}:{p}" for s, p in zip(ps.alphabet.symbols, ps.alphabet.probs))
+    argv = ["duel", "--alphabet", alphabet, "--patterns", ",".join(p.text for p in ps), "--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    results = json.loads(out.getvalue())["results"]
+    assert tuple(F(w["exact"]) for w in results["win"]) == sol.win_probs
+    assert F(results["duration"]["mean"]["exact"]) == sol.mean
+    assert F(results["duration"]["variance"]["exact"]) == sol.variance
