@@ -7,15 +7,15 @@ canonical form: the polynomial gcd of numerator and denominator is removed
 and the denominator is made monic, so structural equality is mathematical
 equality.
 
-No floating point is used anywhere in this module.  Power-series prefixes
-are extracted from rational functions through the linear recurrence imposed
-by the denominator, and limits at z = 1 cancel (z - 1) factors by exact
-synthetic division.
+No floating point is used anywhere in this module.  Power-series prefixes,
+about z = 0 or about z = 1, are extracted from rational functions through
+the linear recurrence imposed by the denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Sequence, TypeVar
 
 __all__ = [
@@ -305,26 +305,18 @@ class RationalFunction:
         return self.num(x) / d
 
     def series(self, n: int) -> SeriesPrefix:
-        """First n + 1 Maclaurin coefficients, computed exactly.
+        """First n + 1 Maclaurin coefficients; the denominator must not vanish at 0."""
+        return _series_prefix(self.num.coeffs, self.den.coeffs, n,
+                              "not a power series: denominator has zero constant term")
 
-        The denominator must have a nonzero constant term.  Coefficients
-        satisfy the convolution recurrence sum_j den_j * c_{i-j} = num_i,
-        solved forward for c_i.
+    def expansion_at_one(self, n: int) -> SeriesPrefix:
+        """Taylor coefficients d_0 .. d_n of f(1 + w), so d_k = f^(k)(1) / k!.
+
+        ValueError at a pole: the canonical form leaves no removable (z - 1)
+        factor, so den(1) = 0 is a pole.
         """
-        if n < 0:
-            raise ValueError("series length must be >= 0")
-        d = self.den.coeffs
-        if not d or d[0] == 0:
-            raise ValueError("not a power series: denominator has zero constant term")
-        a = self.num.coeffs
-        d0 = d[0]
-        out: list[Fraction] = []
-        for i in range(n + 1):
-            acc = a[i] if i < len(a) else _ZERO
-            for j in range(1, min(i, len(d) - 1) + 1):
-                acc -= d[j] * out[i - j]
-            out.append(acc / d0)
-        return tuple(out)
+        num, den = _taylor_at_one(self.num.coeffs, n), _taylor_at_one(self.den.coeffs, n)
+        return _series_prefix(num, den, n, "pole at z = 1: limit does not exist")
 
     def derivative(self) -> RationalFunction:
         """Exact quotient-rule derivative, canonicalized."""
@@ -332,24 +324,34 @@ class RationalFunction:
         return RationalFunction(n.derivative() * d - n * d.derivative(), d * d)
 
     def limit_at_one(self) -> Fraction:
-        """Limit as z -> 1, cancelling removable (z - 1) factors exactly.
-
-        While numerator and denominator both vanish at 1, each is divided
-        by (z - 1) via synthetic division; a leftover zero denominator
-        means a genuine pole.
-        """
-        num, den = self.num, self.den
-        linear = Poly((-1, 1))
-        while not num.is_zero and num(1) == 0 and den(1) == 0:
-            num //= linear
-            den //= linear
-        d1 = den(1)
-        if d1 == 0:
-            raise ValueError("pole at z = 1: limit does not exist")
-        return num(1) / d1
+        """Value at z = 1; ValueError at a pole (see expansion_at_one)."""
+        return self.expansion_at_one(0)[0]
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"
+
+
+def _taylor_at_one(coeffs: Sequence[Fraction], n: int) -> list[Fraction]:
+    """Coefficients 0 .. n of p(1 + w); coefficient k is sum_j C(j, k) p_j."""
+    return [sum((comb(j, k) * c for j, c in enumerate(coeffs[k:], k)), _ZERO) for k in range(n + 1)]
+
+
+def _series_prefix(num: Sequence[Fraction], den: Sequence[Fraction], n: int, no_series: str) -> SeriesPrefix:
+    """c_0 .. c_n of num / den, solving sum_j den_j c_(i-j) = num_i forward for c_i.
+
+    Raises ValueError(no_series) when den[0] is 0.
+    """
+    if n < 0:
+        raise ValueError("series length must be >= 0")
+    if not den or den[0] == 0:
+        raise ValueError(no_series)
+    out: list[Fraction] = []
+    for i in range(n + 1):
+        acc = num[i] if i < len(num) else _ZERO
+        for j in range(1, min(i, len(den) - 1) + 1):
+            acc -= den[j] * out[i - j]
+        out.append(acc / den[0])
+    return tuple(out)
 
 
 T = TypeVar("T")

@@ -41,17 +41,35 @@ class CrossCheckError(ArithmeticError):
     """The generating-function and stationary-rate routes disagreed."""
 
 
+def _fixed_point(scaled: int, digits: int, negative: bool) -> str:
+    """Render the integer scaled = |x| * 10**digits with `digits` decimals."""
+    sign = "-" if negative else ""
+    whole, frac = divmod(scaled, 10**digits)
+    if digits == 0:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}.{frac:0{digits}d}"
+
+
 def decimal_str(x: Fraction, digits: int) -> str:
     """Fixed-point decimal rendering with round-half-even."""
     if digits < 0:
         raise ValueError("digits must be >= 0")
     r = round(Fraction(x), digits)
-    sign = "-" if r < 0 else ""
-    scaled = abs(r.numerator) * 10**digits // r.denominator
-    whole, frac = divmod(scaled, 10**digits)
-    if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return _fixed_point(abs(r.numerator) * 10**digits // r.denominator, digits, r < 0)
+
+
+def sqrt_str(x: Fraction, digits: int, negative: bool = False) -> str:
+    """Fixed-point rendering of the square root of x >= 0, exact and round-half-even.
+
+    `negative` prefixes a minus sign even when the rounded value is 0, as
+    float formatting of a small negative number does.
+    """
+    a, b = x.numerator * 100**digits, x.denominator
+    root = math.isqrt(a // b)  # floor of sqrt(a / b)
+    excess = 4 * a - (2 * root + 1) ** 2 * b  # sign of sqrt(a / b) - (root + 1/2)
+    if excess > 0 or (excess == 0 and root % 2):
+        root += 1
+    return _fixed_point(root, digits, negative)
 
 
 def percent_str(x: Fraction, digits: int) -> str:
@@ -127,11 +145,13 @@ def cmd_duel(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
     if args.method != "equilibrium":
         sol = solve_duel(ps)
         results["win"] = _win_rows(zip(ps.patterns, sol.win_probs), args.digits)
+        # skewness t / v^(3/2) = sign(t) * sqrt(t^2 / v^3), exact so that no float overflows
+        t, v = sol.third_central_moment, sol.variance
         results["duration"] = {
             "mean": _exact_decimal(sol.mean, args.digits),
-            "variance": _exact_decimal(sol.variance, args.digits),
-            "std": f"{sol.std:.{args.digits}f}",
-            "skewness": f"{sol.skewness:.{args.digits}f}",
+            "variance": _exact_decimal(v, args.digits),
+            "std": sqrt_str(v, args.digits),
+            "skewness": "nan" if v == 0 else sqrt_str(t * t / v**3, args.digits, t < 0),
         }
         if args.n is not None:
             results["coefficients"] = _series_rows(sol.duration.series(args.n), args.digits)

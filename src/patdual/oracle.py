@@ -234,19 +234,20 @@ def simulate(ps: PatternSet, games: int, seed: int) -> SimReport:
     """
     if games < 1:
         raise ValueError("games must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     auto = build_automaton(ps)
     nt = auto.n_transient
     m = len(ps)
     trans = np.array(auto.transitions, dtype=np.int64)
     thresholds = np.cumsum(np.array([float(p) for p in ps.alphabet.probs]))[:-1]
 
-    seed_u64 = seed & 0xFFFFFFFFFFFFFFFF
     wins = np.zeros(m, dtype=np.int64)
     duration_sum = 0
     duration_sq_sum = 0
     for chunk_index, start in enumerate(range(0, games, _CHUNK)):
         count = min(_CHUNK, games - start)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed_u64, chunk_index])))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, chunk_index])))
         state = np.zeros(count, dtype=np.int64)
         t = 0
         while state.size:
@@ -266,5 +267,5 @@ def simulate(ps: PatternSet, games: int, seed: int) -> SimReport:
         wins=tuple(int(w) for w in wins),
         duration_sum=duration_sum,
         duration_sq_sum=duration_sq_sum,
-        seed=seed_u64,
+        seed=seed,
     )

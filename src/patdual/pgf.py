@@ -12,9 +12,9 @@ PGFs: completing pattern i immediately after pattern j finished only
 benefits from the longest suffix of j that prefixes i, so F_i factors as
 F(overlap) * F(i given j).  Collecting these ratios into a matrix with
 entry (i, j) = 1 / F(overlap of j into i) and solving against the all-ones
-vector yields one generating function per pattern whose z -> 1 limit is
+vector yields one generating function per pattern whose value at z = 1 is
 that pattern's win probability; their sum generates the distribution of
-the race duration.
+the race duration, and their expansions about z = 1 give its moments.
 """
 
 from __future__ import annotations
@@ -109,12 +109,12 @@ class DuelSolution:
 
     `x[i]` generates the probabilities of pattern i winning at each trial.
     Every other attribute is computed from `x` when first read and then
-    kept: the win probabilities are the z -> 1 limits of the x entries
-    (`solve_duel` checks that they sum to 1), the duration PGF D is the sum
-    of the x entries, and the moments come from one chain of derivatives
-    D', D'', D''' in which each link is built at most once.  With one
-    pattern and x = (its first-passage PGF,), the same attributes describe
-    that pattern's waiting time.
+    kept: the win probabilities are the x entries' values at z = 1
+    (`solve_duel` checks that they sum to 1), and the duration PGF D is
+    their sum.  The k-th factorial moment is k! times the w^k coefficient of
+    D(1 + w), summed from the entries' expansions at z = 1, so the moments
+    build neither D nor a derivative.  With one pattern and x = (its
+    first-passage PGF,), the same attributes describe its waiting time.
     """
 
     def __init__(self, pattern_set: PatternSet, x: tuple[RationalFunction, ...]):
@@ -127,30 +127,24 @@ class DuelSolution:
 
     @cached_property
     def duration(self) -> RationalFunction:
-        duration = self.x[0]
-        for xi in self.x[1:]:
-            duration = duration + xi
-        return duration
+        return sum(self.x[1:], self.x[0])
 
     @cached_property
-    def _first_derivative(self) -> RationalFunction:
-        return self.duration.derivative()
-
-    @cached_property
-    def _second_derivative(self) -> RationalFunction:
-        return self._first_derivative.derivative()
+    def _at_one(self) -> tuple[Fraction, ...]:
+        """d_0 .. d_3 of D(1 + w) = sum_k E[C(T, k)] w^k, summed over the x entries."""
+        return tuple(map(sum, zip(*(xi.expansion_at_one(3) for xi in self.x))))
 
     @cached_property
     def mean(self) -> Fraction:
-        return self._first_derivative.limit_at_one()
+        return self._at_one[1]
 
     @cached_property
     def _second_factorial_moment(self) -> Fraction:
-        return self._second_derivative.limit_at_one()
+        return 2 * self._at_one[2]
 
     @cached_property
     def _third_factorial_moment(self) -> Fraction:
-        return self._second_derivative.derivative().limit_at_one()
+        return 6 * self._at_one[3]
 
     @cached_property
     def variance(self) -> Fraction:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from patdual.algebra import (
@@ -162,6 +162,23 @@ def test_limit_agrees_with_evaluation_when_no_pole():
         f = RF(num, den)
         if f.den(1) != 0:
             assert f.limit_at_one() == f(1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(num=poly, den=nonzero_poly)
+def test_expansion_at_one_matches_derivatives(num, den):
+    f = RF(num, den)
+    assume(f.den(1) != 0)
+    f1 = f.derivative()
+    f2 = f1.derivative()
+    f3 = f2.derivative()
+    assert f.expansion_at_one(3) == (f(1), f1(1), f2(1) / 2, f3(1) / 6)
+    if f(1) != 0:
+        pole = RF(f.num, f.den * ONE_MINUS_Z)
+        with pytest.raises(ValueError):
+            pole.expansion_at_one(3)
+        with pytest.raises(ValueError):
+            pole.limit_at_one()
 
 
 def test_solve_identity_and_diagonal():

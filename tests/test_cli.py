@@ -9,7 +9,7 @@ import pytest
 
 from patdual import cli
 from patdual.algebra import SingularMatrixError
-from patdual.cli import decimal_str, main, percent_str
+from patdual.cli import decimal_str, main, percent_str, sqrt_str
 DATA = Path(__file__).parent / "data"
 
 
@@ -34,6 +34,11 @@ def test_decimal_rendering_is_half_even():
     assert decimal_str(F(5), 0) == "5"
     assert percent_str(F(62, 71), 4) == "87.32%"
     assert percent_str(F(9, 71), 4) == "12.68%"
+    assert sqrt_str(F(14884), 1) == "122.0"
+    assert sqrt_str(F(2), 4) == "1.4142"
+    assert sqrt_str(F(1, 4), 0) == "0"  # 0.5 rounds to even
+    assert sqrt_str(F(9, 4), 0) == "2"
+    assert sqrt_str(F(1, 10**12), 4, negative=True) == "-0.0000"  # as f"{-1e-6:.4f}"
 
 
 def test_duel_table_output(capsys):
@@ -71,6 +76,8 @@ def test_duel_single_trial_race(capsys):
     doc = run_json(capsys, "duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "H,T")
     assert [w["exact"] for w in doc["results"]["win"]] == ["1/2", "1/2"]
     assert doc["results"]["duration"]["mean"]["exact"] == "1"
+    assert doc["results"]["duration"]["std"] == "0.0000"
+    assert doc["results"]["duration"]["skewness"] == "nan"  # undefined for a point mass
 
 
 def test_duel_method_equilibrium_and_both(capsys):
@@ -280,6 +287,22 @@ def test_exact_values_of_any_size(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+def test_duel_std_and_skewness_are_exact(capsys):
+    def duration(alphabet, patterns, *flags):
+        return run_json(capsys, "duel", "--alphabet", alphabet, "--patterns", patterns, *flags)["results"]["duration"]
+
+    # moments far past the float range
+    p = F(1, 10**20)
+    dur = duration(f"H:{p},T:{1 - p}", "HHHHHHHHH,THHHHHHHH")
+    variance, std = F(dur["variance"]["exact"]), F(dur["std"])
+    assert (std - F(1, 20000)) ** 2 <= variance <= (std + F(1, 20000)) ** 2
+    assert dur["skewness"] == "2.0000"
+    dur = duration(f"H:{p},T:{1 - p}", "HHHHHHHHH,THHHHHHHH", "--digits", "0")
+    assert "." not in dur["std"] and dur["skewness"] == "2"
+    # negative skewness keeps its sign; here it is exactly -8/3
+    assert duration("H:1/10,T:9/10", "H,TT")["skewness"] == "-2.6667"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -331,7 +354,7 @@ def test_benchmark_tracer_leaves_output_unchanged(capsys, monkeypatch):
     assert traced == untraced
     _, _, calls = tracer.self_times()
     for span in ("cli.argparse", "cli.render", "patterns.parse", "patterns.set_build", "pgf.solve_duel",
-                 "pgf.first_passage", "pgf.matrix", "pgf.moments", "algebra.gcd", "algebra.derivative",
-                 "algebra.limit", "algebra.series", "algebra.solve", "equilibrium.solve",
-                 "oracle.simulate", "oracle.automaton"):
+                 "pgf.first_passage", "pgf.matrix", "pgf.moments", "algebra.gcd", "algebra.limit",
+                 "algebra.series", "algebra.solve", "equilibrium.solve", "oracle.simulate", "oracle.automaton"):
         assert calls[span] > 0, span
+    assert calls["algebra.derivative"] == 0  # moments come from the expansion at z = 1

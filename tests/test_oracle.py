@@ -140,3 +140,11 @@ def test_simulate_matches_exact_values_within_4_sigma():
 def test_simulate_validates_game_count():
     with pytest.raises(ValueError):
         simulate(pset("H", "T"), 0, seed=1)
+
+
+def test_simulate_validates_seed_range():
+    ps = pset("H", "T")
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            simulate(ps, 10, seed=seed)
+    assert simulate(ps, 10, seed=2**64 - 1).seed == 2**64 - 1

@@ -351,10 +351,9 @@ def test_moments_share_one_derivative_chain(monkeypatch):
     assert sol.win_probs == (F(62, 71), F(9, 71))
     assert len(calls) == 0  # win probabilities need no derivative
 
-    sol.mean, sol.variance, sol.skewness
-    assert len(calls) == 3  # D', D'' and D''', each built once
-    sol.third_central_moment, sol.std, sol.mean
-    assert len(calls) == 3
+    sol.mean, sol.variance, sol.std, sol.skewness, sol.third_central_moment
+    assert len(calls) == 0  # moments come from one expansion at z = 1
+    assert "duration" not in vars(sol)  # and need no duration PGF
 
 
 def test_first_passage_solution_matches_chain_solver():
