@@ -363,6 +363,8 @@ def solve_linear_system(matrix: Sequence[Sequence[T]], rhs: Sequence[T]) -> list
     Plain Gaussian elimination with first-nonzero pivoting; the solution is
     verified against the original system before being returned.  Raises
     SingularMatrixError naming the first column without a usable pivot.
+    A system whose entries are all ints is solved fraction-free instead
+    (see _solve_integer_system), and its solution comes back as Fractions.
     """
     m = len(matrix)
     if m == 0:
@@ -370,6 +372,8 @@ def solve_linear_system(matrix: Sequence[Sequence[T]], rhs: Sequence[T]) -> list
     a = [list(row) for row in matrix]
     if any(len(row) != m for row in a) or len(rhs) != m:
         raise ValueError("matrix must be square and match the rhs length")
+    if all(type(v) is int for v in rhs) and all(type(v) is int for row in a for v in row):
+        return _solve_integer_system(a, rhs)
     b = list(rhs)
     zero = a[0][0] - a[0][0]
 
@@ -380,25 +384,64 @@ def solve_linear_system(matrix: Sequence[Sequence[T]], rhs: Sequence[T]) -> list
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             b[col], b[pivot] = b[pivot], b[col]
+        # products with zero entries are skipped, so the work follows the nonzeros
+        # alone, wherever they sit (a matrix and its transpose cost about the same)
+        top = [(c, a[col][c]) for c in range(col, m) if a[col][c] != zero]
         for r in range(col + 1, m):
             if a[r][col] == zero:
                 continue
             factor = a[r][col] / a[col][col]
-            for c in range(col, m):
-                a[r][c] = a[r][c] - factor * a[col][c]
+            for c, v in top:
+                a[r][c] = a[r][c] - factor * v
             b[r] = b[r] - factor * b[col]
 
     x: list[T] = [zero] * m
     for i in range(m - 1, -1, -1):
         acc = b[i]
         for j in range(i + 1, m):
-            acc = acc - a[i][j] * x[j]
+            if a[i][j] != zero:
+                acc = acc - a[i][j] * x[j]
         x[i] = acc / a[i][i]
 
     for i in range(m):
         acc = zero
         for j in range(m):
-            acc = acc + matrix[i][j] * x[j]
+            if matrix[i][j] != zero:
+                acc = acc + matrix[i][j] * x[j]
         if acc != rhs[i]:
             raise ArithmeticError("linear solve failed verification")
     return x
+
+
+def _solve_integer_system(a: list[list[int]], rhs: Sequence[int]) -> list[Fraction]:
+    """Bareiss elimination on the square integer matrix a (modified in place).
+
+    Every step divides exactly by the previous pivot, so each entry stays an
+    integer minor of the system and no gcd is ever taken.  With d the last
+    pivot (the determinant up to sign), back substitution finds the integers
+    y = d x, which are verified against the system before x = y / d is
+    returned.  Pivoting and SingularMatrixError are as in the field case.
+    """
+    m = len(a)
+    for row, b in zip(a, rhs):
+        row.append(b)
+    original = [row[:] for row in a]
+    previous = 1
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if a[r][col]), None)
+        if pivot is None:
+            raise SingularMatrixError(col)
+        a[col], a[pivot] = a[pivot], a[col]
+        top = a[col]
+        for row in a[col + 1:]:
+            factor = row[col]
+            for c in range(col + 1, m + 1):
+                row[c] = (top[col] * row[c] - factor * top[c]) // previous
+            row[col] = 0
+        previous = top[col]
+    y = [0] * m
+    for i in range(m - 1, -1, -1):
+        y[i] = (previous * a[i][m] - sum(a[i][j] * y[j] for j in range(i + 1, m))) // a[i][i]
+    if any(sum(v * yj for v, yj in zip(row, y)) != previous * row[m] for row in original):
+        raise ArithmeticError("linear solve failed verification")
+    return [Fraction(yi, previous) for yi in y]

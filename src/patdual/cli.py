@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .algebra import RationalFunction, SingularMatrixError
 from .equilibrium import solve_equilibrium
-from .oracle import simulate
+from .oracle import _CHUNK, oracle_win_probs, simulate
 from .patterns import (
     Alphabet,
     ParseError,
@@ -38,7 +38,12 @@ __all__ = ["main"]
 
 
 class CrossCheckError(ArithmeticError):
-    """The generating-function and stationary-rate routes disagreed."""
+    """The generating-function route disagreed with the stationary-rate or absorbing-chain route."""
+
+
+# simulate refuses a request when max(games, chunk size) * mean duration exceeds this:
+# oracle.simulate steps once per trial of a chunk's longest game, for all its games
+SIMULATION_BUDGET = 2**30
 
 
 def _fixed_point(scaled: int, digits: int, negative: bool) -> str:
@@ -164,6 +169,10 @@ def cmd_duel(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
             results.update(win=win, duration={"mean": mean}, rates=rates)
         elif (eq.win_probs, eq.expected_duration) != (sol.win_probs, sol.mean):
             raise CrossCheckError("generating-function and stationary-rate results disagree")
+        # N(1) is the stationary-rate matrix up to a transpose and a scaling, so the chain is
+        # the independent check
+        elif oracle_win_probs(ps) != (sol.win_probs, sol.mean, sol.variance):
+            raise CrossCheckError("generating-function and absorbing-chain results disagree")
         else:
             results["equilibrium"] = {"rates": rates, "win": win, "expected_duration": mean}
             results["cross_check"] = "ok"
@@ -175,6 +184,11 @@ def cmd_simulate(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
         raise PatternSetError("simulate requires at least two patterns")
     ps = PatternSet(alphabet, tuple(patterns))
     sol = solve_duel(ps)
+    if max(args.games, _CHUNK) * sol.mean > SIMULATION_BUDGET:
+        raise ValueError(
+            f"simulation over budget: max(games, {_CHUNK}) * mean duration "
+            f"{decimal_str(sol.mean, 0)} exceeds {SIMULATION_BUDGET} trials"
+        )
     report = simulate(ps, args.games, args.seed)
 
     rows = []

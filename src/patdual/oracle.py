@@ -1,9 +1,9 @@
 """Ground-truth engines independent of the generating-function machinery.
 
 Two validators live here: an exact absorbing-Markov-chain solver over the
-pattern-set suffix automaton (all Fraction arithmetic, so comparisons with
-the analytic engines are equalities, not tolerances), and a seeded Monte
-Carlo simulator for statistical sanity checks.
+pattern-set suffix automaton (exact integer and Fraction arithmetic, so
+comparisons with the analytic engines are equalities, not tolerances), and
+a seeded Monte Carlo simulator for statistical sanity checks.
 
 The simulator draws from numpy's PCG64 generator.  Games are processed in
 fixed chunks of 2**16; chunk c uses the stream seeded by
@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .algebra import SeriesPrefix, solve_linear_system
 from .patterns import Pattern, PatternSet
@@ -122,51 +121,39 @@ class OracleStats(NamedTuple):
     variance: Fraction
 
 
-def _identity_minus_q(auto: SuffixAutomaton) -> list[list[Fraction]]:
-    n = auto.n_transient
-    probs = auto.pattern_set.alphabet.probs
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for t in range(n):
-        a[t][t] += 1
-        for c, nxt in enumerate(auto.transitions[t]):
-            if nxt < n:
-                a[t][nxt] -= probs[c]
-    return a
-
-
 def oracle_win_probs(ps: PatternSet) -> OracleStats:
     """Exact absorption probabilities and the mean/variance of the hit time.
 
-    Solves (I - Q) b_j = r_j per pattern for the win probabilities and the
-    standard first and second moment systems for the absorption time, all
-    over Fractions starting from the empty history.
+    Two solves with the integer matrix d (I - Q), where d is the least
+    common denominator of the symbol probabilities: (I - Q) t = 1 gives the
+    expected trials t_s to absorption from each transient state s, and
+    (I - Q)^T v = e_0 the expected visits v_s to s from the empty history.
+    Pattern j wins with probability sum_s v_s P(s completes j), the mean is
+    t_0, and E[T (T + 1) / 2] = sum_s v_s t_s, since each visit to s is
+    followed by t_s trials on average, itself included.
     """
     auto = build_automaton(ps)
     n = auto.n_transient
-    m = len(ps)
     probs = ps.alphabet.probs
-    a = _identity_minus_q(auto)
-
-    reach = [[Fraction(0)] * m for _ in range(n)]
-    for t in range(n):
-        for c, nxt in enumerate(auto.transitions[t]):
-            if nxt >= n:
-                reach[t][nxt - n] += probs[c]
-
-    wins = tuple(solve_linear_system(a, [reach[t][j] for t in range(n)])[0] for j in range(m))
-
-    ones = [Fraction(1)] * n
-    t_mean = solve_linear_system(a, ones)
-    # E[T^2] from state t satisfies s = 1 + 2 Q t + Q s.
-    rhs = []
-    for t in range(n):
-        acc = Fraction(1)
-        for c, nxt in enumerate(auto.transitions[t]):
+    d = lcm(*(p.denominator for p in probs))
+    weights = [p.numerator * (d // p.denominator) for p in probs]
+    a = [[0] * n for _ in range(n)]
+    for s in range(n):
+        a[s][s] += d
+        for c, nxt in enumerate(auto.transitions[s]):
             if nxt < n:
-                acc += 2 * probs[c] * t_mean[nxt]
-        rhs.append(acc)
-    t_sq = solve_linear_system(a, rhs)
-    return OracleStats(wins, t_mean[0], t_sq[0] - t_mean[0] ** 2)
+                a[s][nxt] -= weights[c]
+
+    steps = solve_linear_system(a, [d] * n)
+    visits = solve_linear_system([list(col) for col in zip(*a)], [d] + [0] * (n - 1))
+    wins = [Fraction(0)] * len(ps)
+    for s in range(n):
+        for c, nxt in enumerate(auto.transitions[s]):
+            if nxt >= n:
+                wins[nxt - n] += visits[s] * probs[c]
+    mean = steps[0]
+    second = 2 * sum(v * t for v, t in zip(visits, steps)) - mean  # E[T^2]
+    return OracleStats(tuple(wins), mean, second - mean * mean)
 
 
 def oracle_first_passage(
@@ -232,6 +219,7 @@ def simulate(ps: PatternSet, games: int, seed: int) -> SimReport:
 
     See the module docstring for the PRNG and chunking scheme.
     """
+    import numpy as np  # only the simulator needs it, and it dominates import time
     if games < 1:
         raise ValueError("games must be >= 1")
     if not 0 <= seed < 2**64:

@@ -1,8 +1,7 @@
 """First-passage generating functions and the multi-pattern race solver.
 
-Everything here is a rational function in z over exact rationals.  For a
-single pattern of length k with string probability P, the PGF of the trial
-at which the pattern first completes is
+For a single pattern of length k with string probability P, the PGF of
+the trial at which the pattern first completes is
 
     F(z) = P z^k / ( P z^k + (1 - z) * sum_l P(tail after l) z^(k-l) ),
 
@@ -10,19 +9,30 @@ the sum running over the pattern's self-overlap shifts l (the l = k term
 contributes 1).  Races between patterns are solved from the head-start
 PGFs: completing pattern i immediately after pattern j finished only
 benefits from the longest suffix of j that prefixes i, so F_i factors as
-F(overlap) * F(i given j).  Collecting these ratios into a matrix with
-entry (i, j) = 1 / F(overlap of j into i) and solving against the all-ones
-vector yields one generating function per pattern whose value at z = 1 is
-that pattern's win probability; their sum generates the distribution of
-the race duration, and their expansions about z = 1 give its moments.
+F(overlap) * F(i given j).  Collecting these ratios into a matrix M with
+entry (i, j) = 1 / F(overlap of j into i) and solving M x = 1 yields one
+generating function per pattern, x_i, whose value at z = 1 is that
+pattern's win probability; their sum D generates the race duration.
+
+The race matrix factors as M(z) = J + (1 - z) N(z), with J all ones and
+N_ij(z) = sum_l z^(-l) / P(h[:l]) over the self-overlap shifts l of the
+overlap h of j into i (0 when h is empty).  With u = N^(-1) 1 and
+g = sum(u), x = u / (g + 1 - z) and D = g / (g + 1 - z).  So the win
+probabilities and the moments need no rational function: N(1 + w) has
+exact Fraction coefficients in w, the coefficients of u(w) follow from
+m x m Fraction solves with N(1) (the correlation matrix of Guibas and
+Odlyzko), and D(1 + w) = g(w) / (g(w) - w) is a power-series division.
+The rational functions x and D are built only when a series or a PGF is
+asked for.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
-from .algebra import Poly, RationalFunction, SingularMatrixError, solve_linear_system
+from .algebra import Poly, RationalFunction, SingularMatrixError, _series_prefix, solve_linear_system
 from .patterns import (
     Alphabet,
     Pattern,
@@ -105,25 +115,63 @@ def build_duel_matrix(ps: PatternSet) -> list[list[RationalFunction]]:
 
 
 class DuelSolution:
-    """Everything the solved win generating functions of a race imply.
+    """Everything a race implies, each answer computed when first read and then kept.
 
-    `x[i]` generates the probabilities of pattern i winning at each trial.
-    Every other attribute is computed from `x` when first read and then
-    kept: the win probabilities are the x entries' values at z = 1
-    (`solve_duel` checks that they sum to 1), and the duration PGF D is
-    their sum.  The k-th factorial moment is k! times the w^k coefficient of
-    D(1 + w), summed from the entries' expansions at z = 1, so the moments
-    build neither D nor a derivative.  With one pattern and x = (its
-    first-passage PGF,), the same attributes describe its waiting time.
+    The win probabilities and the moments come from Fraction solves with
+    N(1) (see the module docstring): win_i = u_0[i] / sum(u_0) with
+    N(1) u_0 = 1, and the k-th factorial moment is k! times the w^k
+    coefficient of D(1 + w).  `x[i]` generates the probabilities of pattern
+    i winning at each trial, and the duration PGF D is their sum.  Unless
+    `x` is handed in, it is solved from the race matrix on first read and
+    checked against the win probabilities at z = 1.  With one pattern and
+    x = (its first-passage PGF,), the same attributes describe its waiting
+    time.
     """
 
-    def __init__(self, pattern_set: PatternSet, x: tuple[RationalFunction, ...]):
+    def __init__(self, pattern_set: PatternSet, x: tuple[RationalFunction, ...] | None = None):
         self.pattern_set = pattern_set
-        self.x = x
+        if x is not None:
+            self.x = x  # shadows the cached property below
+
+    def _solve(self, matrix: list[list], rhs: list) -> list:
+        try:
+            return solve_linear_system(matrix, rhs)
+        except SingularMatrixError as exc:
+            names = ", ".join(str(p) for p in self.pattern_set.patterns)
+            raise SingularMatrixError(exc.column, f"race system singular for patterns {names}") from exc
+
+    @cached_property
+    def _terms(self) -> list[list[tuple[tuple[int, Fraction], ...]]]:
+        """Entry (i, j): the pairs (l, 1 / P(h[:l])) that make up N_ij(z) = sum z^(-l) / P(h[:l])."""
+        ps = self.pattern_set
+        heads = [[overlap_string(pat_j, pat_i) for pat_j in ps.patterns] for pat_i in ps.patterns]
+        return [[tuple((l, 1 / string_probability(h[:l], ps.alphabet)) for l in overlap_shifts(h, h)) for h in row]
+                for row in heads]
+
+    def _correlation(self, t: int) -> list[list[Fraction]]:
+        """N_t, the w^t coefficient of N(1 + w); (1 + w)^(-l) contributes (-1)^t C(l + t - 1, t)."""
+        sign = (-1) ** t
+        return [[sign * sum((comb(l + t - 1, t) * w for l, w in entry), Fraction(0)) for entry in row]
+                for row in self._terms]
+
+    @cached_property
+    def _u0(self) -> list[Fraction]:
+        """N(1)^(-1) 1: all that the win probabilities need."""
+        return self._solve(self._correlation(0), [Fraction(1)] * len(self.pattern_set))
 
     @cached_property
     def win_probs(self) -> tuple[Fraction, ...]:
-        return tuple(xi.limit_at_one() for xi in self.x)
+        g0 = sum(self._u0)
+        return tuple(ui / g0 for ui in self._u0)
+
+    @cached_property
+    def x(self) -> tuple[RationalFunction, ...]:
+        """Win generating functions, by Gaussian elimination on the race matrix M(z)."""
+        ones = [RationalFunction.one()] * len(self.pattern_set)
+        x = tuple(self._solve(build_duel_matrix(self.pattern_set), ones))
+        if tuple(xi.limit_at_one() for xi in x) != self.win_probs:
+            raise ArithmeticError("win generating functions disagree with the win probabilities at z = 1")
+        return x
 
     @cached_property
     def duration(self) -> RationalFunction:
@@ -131,8 +179,19 @@ class DuelSolution:
 
     @cached_property
     def _at_one(self) -> tuple[Fraction, ...]:
-        """d_0 .. d_3 of D(1 + w) = sum_k E[C(T, k)] w^k, summed over the x entries."""
-        return tuple(map(sum, zip(*(xi.expansion_at_one(3) for xi in self.x))))
+        """d_0 .. d_3 of D(1 + w) = sum_k E[C(T, k)] w^k = g(w) / (g(w) - w).
+
+        u(w) = N(1 + w)^(-1) 1 = sum_k u_k w^k, so N_0 u_k = -sum_(t=1..k) N_t u_(k-t),
+        and g_k = sum(u_k).
+        """
+        m = len(self.pattern_set)
+        n = [self._correlation(t) for t in range(4)]
+        u = [self._u0]
+        for k in (1, 2, 3):
+            rhs = [-sum(n[t][i][j] * u[k - t][j] for t in range(1, k + 1) for j in range(m)) for i in range(m)]
+            u.append(self._solve(n[0], rhs))
+        g = [sum(uk) for uk in u]
+        return _series_prefix(g, [g[0], g[1] - 1, g[2], g[3]], 3, "race duration has no finite mean")
 
     @cached_property
     def mean(self) -> Fraction:
@@ -178,17 +237,9 @@ class DuelSolution:
 
 
 def solve_duel(ps: PatternSet) -> DuelSolution:
-    """Solve the race; the duration PGF and its moments are derived on first use."""
-    matrix = build_duel_matrix(ps)
-    ones = [RationalFunction.one()] * len(ps)
-    try:
-        x = solve_linear_system(matrix, ones)
-    except SingularMatrixError as exc:
-        names = ", ".join(str(p) for p in ps.patterns)
-        raise SingularMatrixError(exc.column, f"race system singular for patterns {names}") from exc
-
-    sol = DuelSolution(ps, tuple(x))
-    if sum(sol.win_probs) != 1:
-        raise ArithmeticError("win probabilities do not sum to 1; inputs violate an invariant")
+    """Solve the race for its win probabilities; moments, x and the duration PGF come on first use."""
+    sol = DuelSolution(ps)
+    # pattern i wins whenever its own string opens the game, so no win is 0
+    if sum(sol.win_probs) != 1 or min(sol.win_probs) <= 0:
+        raise ArithmeticError("win probabilities are not positive and summing to 1; inputs violate an invariant")
     return sol
-

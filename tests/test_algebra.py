@@ -202,6 +202,26 @@ def test_solve_over_rational_function_field():
     assert x[0] == x[1] == RF(Poly.one(), Poly((1, 1)))
 
 
+def test_solve_integer_systems_fraction_free():
+    rng = random.Random(11)
+    for _ in range(60):
+        m = rng.randint(1, 6)
+        a = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        b = [rng.randint(-5, 5) for _ in range(m)]
+        try:
+            expected = solve_linear_system([[F(v) for v in row] for row in a], [F(v) for v in b])
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError) as got:
+                solve_linear_system(a, b)
+            assert got.value.column == exc.column
+            continue
+        x = solve_linear_system(a, b)
+        assert x == expected
+        assert all(type(v) is F for v in x)
+    # the first column needs a row swap, and the solution is not integral
+    assert solve_linear_system([[0, 2], [3, 1]], [1, 1]) == [F(1, 6), F(1, 2)]
+
+
 def test_solve_random_rational_systems_by_residual():
     rng = random.Random(3)
     for _ in range(20):

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -263,6 +265,41 @@ def test_exit_code_4_on_internal_failures(capsys, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "duel", boom)
     code, _, err = run(capsys, "duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH")
     assert code == 4 and "pivot" in err
+
+
+def test_method_both_checks_the_chain_oracle(capsys, monkeypatch):
+    oracle = cli.oracle_win_probs
+    monkeypatch.setattr(cli, "oracle_win_probs", lambda ps: oracle(ps)._replace(mean=oracle(ps).mean + 1))
+    code, _, err = run(capsys, "duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--method", "both")
+    assert code == 4 and "absorbing-chain" in err
+
+
+def test_simulation_over_budget_exits_3_without_simulating(capsys, monkeypatch):
+    def simulate(*args):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    # the exact mean duration is 1,000,001,000,001 trials
+    code, _, err = run(
+        capsys, "simulate", "--alphabet", "H:1/1000000,T:999999/1000000", "--patterns", "HHH,HHT",
+        "--games", "1",
+    )
+    assert code == 3 and "budget" in err
+
+
+def test_duel_does_not_import_numpy():
+    script = (
+        "import contextlib, io, sys\n"
+        "from patdual import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['duel', '--alphabet', 'H:1/2,T:1/2', '--patterns', 'HHT,THH']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_usage_error_exits_2():

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from patdual.algebra import solve_linear_system
 from patdual.oracle import (
     build_automaton,
     oracle_first_passage,
@@ -83,6 +84,35 @@ def test_win_probs_long_pair():
     stats = oracle_win_probs(pset("TTTHTTT", "TTHTTTTHT"))
     assert stats.win_probs == (F(62, 71), F(9, 71))
     assert stats.mean == F(9110, 71)
+
+
+def test_win_probs_match_per_pattern_absorption_systems():
+    # the textbook systems over Fractions: (I - Q) b_j = r_j for each pattern's
+    # absorption, (I - Q) t = 1 for the mean and (I - Q) s = 1 + 2 Q t for E[T^2]
+    biased = Alphabet.coin(F(1, 3))
+    three = Alphabet(("A", "B", "C"), (F(1, 2), F(1, 3), F(1, 6)))
+    for ps in (
+        pset("HH", "TH"),
+        pset("TTTHTTT", "TTHTTTTHT"),
+        pset("TTH", "THHH", "HHHH", "HTHTH", alphabet=biased),
+        pset("ABAACAC", "CBBCBAAC", alphabet=three),
+        pset("CCA", "ABB", "BAA", "AABC", alphabet=three),
+    ):
+        auto = build_automaton(ps)
+        n, probs = auto.n_transient, ps.alphabet.probs
+        a = [[F(int(r == c)) for c in range(n)] for r in range(n)]
+        reach = [[F(0)] * len(ps) for _ in range(n)]
+        for s, row in enumerate(auto.transitions):
+            for c, nxt in enumerate(row):
+                if nxt < n:
+                    a[s][nxt] -= probs[c]
+                else:
+                    reach[s][nxt - n] += probs[c]
+        wins = tuple(solve_linear_system(a, [r[j] for r in reach])[0] for j in range(len(ps)))
+        t = solve_linear_system(a, [F(1)] * n)
+        q_t = [sum((probs[c] * t[nxt] for c, nxt in enumerate(row) if nxt < n), F(0)) for row in auto.transitions]
+        second = solve_linear_system(a, [1 + 2 * v for v in q_t])[0]
+        assert oracle_win_probs(ps) == (wins, t[0], second - t[0] ** 2)
 
 
 def test_first_passage_single_symbol_is_geometric():

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from patdual.algebra import Poly, RationalFunction
+import patdual.pgf as pgf
+from patdual.algebra import Poly, RationalFunction, solve_linear_system
 from patdual.cli import main
 from patdual.oracle import oracle_first_passage, oracle_win_probs
 from patdual.patterns import (
@@ -368,12 +369,12 @@ def test_first_passage_solution_matches_chain_solver():
 
 
 @st.composite
-def races(draw):
-    """2-3 valid patterns of length <= 4 over a biased alphabet of 2-4 symbols."""
+def races(draw, patterns=(2, 3), max_length=4):
+    """Valid pattern sets, sized within `patterns`, over a biased alphabet of 2-4 symbols."""
     labels = "ABCD"[: draw(st.integers(2, 4))]
     weights = draw(st.lists(st.integers(1, 6), min_size=len(labels), max_size=len(labels)))
     alphabet = Alphabet(tuple(labels), tuple(F(w, sum(weights)) for w in weights))
-    texts = draw(st.lists(st.text(labels, min_size=1, max_size=4), min_size=2, max_size=3))
+    texts = draw(st.lists(st.text(labels, min_size=1, max_size=max_length), min_size=patterns[0], max_size=patterns[1]))
     try:
         return PatternSet(alphabet, tuple(Pattern.parse(t, alphabet) for t in texts))
     except PatternSetError:
@@ -398,3 +399,39 @@ def test_race_invariants_and_json_round_trip(ps):
     assert tuple(F(w["exact"]) for w in results["win"]) == sol.win_probs
     assert F(results["duration"]["mean"]["exact"]) == sol.mean
     assert F(results["duration"]["variance"]["exact"]) == sol.variance
+
+
+@settings(max_examples=60, deadline=None)
+@given(races(patterns=(1, 4), max_length=5))
+def test_correlation_route_matches_rational_function_route(ps):
+    x = solve_linear_system(build_duel_matrix(ps), [RF.one()] * len(ps))
+    d = [sum(c) for c in zip(*(xi.expansion_at_one(3) for xi in x))]  # E[C(T, k)], k = 0..3
+    mean, raw_second, raw_third = d[1], 2 * d[2] + d[1], 6 * d[3] + 6 * d[2] + d[1]
+    sol = solve_duel(ps)
+    assert sol.win_probs == tuple(xi.limit_at_one() for xi in x)
+    assert sol.mean == mean
+    assert sol.variance == raw_second - mean**2
+    assert sol.third_central_moment == raw_third - 3 * mean * raw_second + 2 * mean**3
+
+
+def test_race_answers_build_no_rational_function(monkeypatch):
+    builds = []
+    init = RF.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(RF, "__init__", counted)
+    sol = solve_duel(pset("TTTHTTT", "TTHTTTTHT", "HTHH"))
+    sol.win_probs, sol.mean, sol.variance, sol.third_central_moment
+    assert builds == []
+    assert "x" not in vars(sol)
+
+
+def test_x_that_disagrees_with_the_win_probabilities_is_refused(monkeypatch):
+    sol = solve_duel(pset("HH", "TH"))
+    # the race matrix of the patterns in the other order, so x comes out reversed
+    monkeypatch.setattr(pgf, "build_duel_matrix", lambda ps: build_duel_matrix(pset("TH", "HH")))
+    with pytest.raises(ArithmeticError, match="disagree"):
+        sol.x
