@@ -9,12 +9,14 @@ independent cross-checks.
 """
 
 from .algebra import (
+    ExpansionError,
     Poly,
     RationalFunction,
     SeriesPrefix,
     SingularMatrixError,
     poly_gcd,
     solve_linear_system,
+    solve_polynomial_system,
 )
 from .equilibrium import EquilibriumSolution, build_equilibrium_system, solve_equilibrium
 from .oracle import (
@@ -22,6 +24,7 @@ from .oracle import (
     SimReport,
     SuffixAutomaton,
     build_automaton,
+    oracle_duration,
     oracle_first_passage,
     oracle_win_probs,
     simulate,
@@ -53,6 +56,7 @@ __all__ = [
     "Alphabet",
     "DuelSolution",
     "EquilibriumSolution",
+    "ExpansionError",
     "OracleStats",
     "ParseError",
     "Pattern",
@@ -71,6 +75,7 @@ __all__ = [
     "correlation_set",
     "first_passage_pgf",
     "max_overlap",
+    "oracle_duration",
     "oracle_first_passage",
     "oracle_win_probs",
     "overlap_string",
@@ -81,5 +86,6 @@ __all__ = [
     "solve_duel",
     "solve_equilibrium",
     "solve_linear_system",
+    "solve_polynomial_system",
     "string_probability",
 ]

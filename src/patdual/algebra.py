@@ -9,22 +9,33 @@ equality.
 
 No floating point is used anywhere in this module.  Power-series prefixes,
 about z = 0 or about z = 1, are extracted from rational functions through
-the linear recurrence imposed by the denominator.
+the linear recurrence imposed by the denominator.  About z = 0 that
+recurrence runs over ints: with the denominator scaled to den(0) = 1 and a
+scale s for which every den_j s^j and num_i s^i (i, j >= 1) is an integer,
+t s^k c_k is an integer for t the denominator of num(0), and the terms
+need no division.
+
+Linear systems are solved by elimination: over a field (Fraction or
+RationalFunction entries) by Gaussian elimination, and over the integers,
+and over Z[z] for polynomial systems, by Bareiss's fraction-free
+elimination (Math. Comp. 22, 1968), which takes no gcd at all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 from typing import Sequence, TypeVar
 
 __all__ = [
+    "ExpansionError",
     "Poly",
     "RationalFunction",
     "SeriesPrefix",
     "SingularMatrixError",
     "poly_gcd",
     "solve_linear_system",
+    "solve_polynomial_system",
 ]
 
 # Coefficients c_0 .. c_n of a power-series prefix.
@@ -32,6 +43,18 @@ SeriesPrefix = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# primes whose powers the series scale takes one by one (see _series_scale)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+class ExpansionError(ValueError):
+    """A function has no power-series expansion at the requested point.
+
+    Raised for a pole at z = 1, a denominator that vanishes at z = 0, and a
+    race duration with no finite mean.  For the answers of a valid race
+    none of these can occur, so on a command's path it is an engine fault.
+    """
 
 
 class SingularMatrixError(ArithmeticError):
@@ -305,15 +328,43 @@ class RationalFunction:
         return self.num(x) / d
 
     def series(self, n: int) -> SeriesPrefix:
-        """First n + 1 Maclaurin coefficients; the denominator must not vanish at 0."""
-        return _series_prefix(self.num.coeffs, self.den.coeffs, n,
-                              "not a power series: denominator has zero constant term")
+        """First n + 1 Maclaurin coefficients; the denominator must not vanish at 0.
+
+        With num / den scaled to den(0) = 1, s from _series_scale and t the
+        denominator of num(0), a_k = t s^k c_k obeys
+        a_k = t s^k num_k - sum_j (den_j s^j) a_(k-j) over ints.
+        """
+        if n < 0:
+            raise ValueError("series length must be >= 0")
+        den0 = self.den.coeffs[0]
+        if den0 == 0:
+            raise ExpansionError("not a power series: denominator has zero constant term")
+        num = [c / den0 for c in self.num.coeffs]
+        den = [c / den0 for c in self.den.coeffs]
+        s = _series_scale(num, den)
+        t = num[0].denominator if num else 1
+        drive = [c.numerator * (t * s**i // c.denominator) for i, c in enumerate(num[:n + 1])]
+        feedback = [(j, c.numerator * (s**j // c.denominator)) for j, c in enumerate(den) if j and c]
+        a: list[int] = []
+        for k in range(n + 1):
+            acc = drive[k] if k < len(drive) else 0
+            for j, e in feedback:
+                if j > k:
+                    break
+                acc -= e * a[k - j]
+            a.append(acc)
+        out = []
+        scale = t
+        for ak in a:
+            out.append(Fraction(ak, scale))
+            scale *= s
+        return tuple(out)
 
     def expansion_at_one(self, n: int) -> SeriesPrefix:
         """Taylor coefficients d_0 .. d_n of f(1 + w), so d_k = f^(k)(1) / k!.
 
-        ValueError at a pole: the canonical form leaves no removable (z - 1)
-        factor, so den(1) = 0 is a pole.
+        ExpansionError at a pole: the canonical form leaves no removable
+        (z - 1) factor, so den(1) = 0 is a pole.
         """
         num, den = _taylor_at_one(self.num.coeffs, n), _taylor_at_one(self.den.coeffs, n)
         return _series_prefix(num, den, n, "pole at z = 1: limit does not exist")
@@ -324,7 +375,7 @@ class RationalFunction:
         return RationalFunction(n.derivative() * d - n * d.derivative(), d * d)
 
     def limit_at_one(self) -> Fraction:
-        """Value at z = 1; ValueError at a pole (see expansion_at_one)."""
+        """Value at z = 1; ExpansionError at a pole (see expansion_at_one)."""
         return self.expansion_at_one(0)[0]
 
     def __repr__(self) -> str:
@@ -336,15 +387,44 @@ def _taylor_at_one(coeffs: Sequence[Fraction], n: int) -> list[Fraction]:
     return [sum((comb(j, k) * c for j, c in enumerate(coeffs[k:], k)), _ZERO) for k in range(n + 1)]
 
 
+def _series_scale(*sequences: Sequence[Fraction]) -> int:
+    """A small s for which c_j s^j is an integer for every coefficient c_j with j >= 1.
+
+    Per small prime p, v_p(s) = max_j ceil(v_p(denominator of c_j) / j),
+    the least exponent that works.  Whatever part of a denominator no small
+    prime divides goes into s whole, which still works for any sequence.
+    (A plain lcm of the denominators works too, but is far larger, and the
+    integer terms of a series grow with s^k.)
+    """
+    exponents = dict.fromkeys(_SMALL_PRIMES, 0)
+    rest = 1
+    for coeffs in sequences:
+        for j, c in enumerate(coeffs):
+            d = c.denominator
+            if j == 0 or d == 1:
+                continue
+            for p in _SMALL_PRIMES:
+                v = 0
+                while d % p == 0:
+                    d //= p
+                    v += 1
+                if v:
+                    exponents[p] = max(exponents[p], -(-v // j))
+                if d == 1:
+                    break
+            rest = lcm(rest, d)
+    return rest * prod(p**e for p, e in exponents.items())
+
+
 def _series_prefix(num: Sequence[Fraction], den: Sequence[Fraction], n: int, no_series: str) -> SeriesPrefix:
     """c_0 .. c_n of num / den, solving sum_j den_j c_(i-j) = num_i forward for c_i.
 
-    Raises ValueError(no_series) when den[0] is 0.
+    Raises ExpansionError(no_series) when den[0] is 0.
     """
     if n < 0:
         raise ValueError("series length must be >= 0")
     if not den or den[0] == 0:
-        raise ValueError(no_series)
+        raise ExpansionError(no_series)
     out: list[Fraction] = []
     for i in range(n + 1):
         acc = num[i] if i < len(num) else _ZERO
@@ -364,7 +444,7 @@ def solve_linear_system(matrix: Sequence[Sequence[T]], rhs: Sequence[T]) -> list
     verified against the original system before being returned.  Raises
     SingularMatrixError naming the first column without a usable pivot.
     A system whose entries are all ints is solved fraction-free instead
-    (see _solve_integer_system), and its solution comes back as Fractions.
+    (see _bareiss), and its solution comes back as Fractions.
     """
     m = len(matrix)
     if m == 0:
@@ -373,7 +453,8 @@ def solve_linear_system(matrix: Sequence[Sequence[T]], rhs: Sequence[T]) -> list
     if any(len(row) != m for row in a) or len(rhs) != m:
         raise ValueError("matrix must be square and match the rhs length")
     if all(type(v) is int for v in rhs) and all(type(v) is int for row in a for v in row):
-        return _solve_integer_system(a, rhs)
+        y, d = _bareiss(a, rhs)
+        return [Fraction(yi, d) for yi in y]
     b = list(rhs)
     zero = a[0][0] - a[0][0]
 
@@ -413,14 +494,14 @@ def solve_linear_system(matrix: Sequence[Sequence[T]], rhs: Sequence[T]) -> list
     return x
 
 
-def _solve_integer_system(a: list[list[int]], rhs: Sequence[int]) -> list[Fraction]:
-    """Bareiss elimination on the square integer matrix a (modified in place).
+def _bareiss(a: list[list[int]], rhs: Sequence[int]) -> tuple[list[int], int]:
+    """Integers y and d != 0 with a y = d rhs, by Bareiss elimination (a is modified in place).
 
     Every step divides exactly by the previous pivot, so each entry stays an
     integer minor of the system and no gcd is ever taken.  With d the last
     pivot (the determinant up to sign), back substitution finds the integers
-    y = d x, which are verified against the system before x = y / d is
-    returned.  Pivoting and SingularMatrixError are as in the field case.
+    y = d x, which are verified against the system.  Pivoting and
+    SingularMatrixError are as in the field case.
     """
     m = len(a)
     for row, b in zip(a, rhs):
@@ -444,4 +525,57 @@ def _solve_integer_system(a: list[list[int]], rhs: Sequence[int]) -> list[Fracti
         y[i] = (previous * a[i][m] - sum(a[i][j] * y[j] for j in range(i + 1, m))) // a[i][i]
     if any(sum(v * yj for v, yj in zip(row, y)) != previous * row[m] for row in original):
         raise ArithmeticError("linear solve failed verification")
-    return [Fraction(yi, previous) for yi in y]
+    return y, previous
+
+
+def solve_polynomial_system(matrix: Sequence[Sequence[Poly]], rhs: Sequence[Poly]) -> tuple[list[Poly], Poly]:
+    """Polynomials y and d != 0 with matrix y = d rhs, by fraction-free elimination over Z[z].
+
+    Each row of [matrix | rhs] is scaled to integer coefficients, which
+    leaves y / d unchanged.  Bareiss elimination then runs on the values at
+    z = 2^k (Kronecker substitution), one big integer per polynomial: every
+    minor of the scaled system has coefficients of absolute value at most
+    B, the product of its rows' coefficient 1-norms, so with 2^(k-1) > B a
+    minor's value at 2^k is 0 only for the zero polynomial (the pivots are
+    those of the polynomial elimination), and y and d, minors themselves,
+    are read back as base-2^k digits in [-2^(k-1), 2^(k-1)).  The result is
+    verified by polynomial arithmetic: matrix y = d rhs exactly.  Raises
+    SingularMatrixError as solve_linear_system does.
+    """
+    m = len(matrix)
+    if any(len(row) != m for row in matrix) or len(rhs) != m:
+        raise ValueError("matrix must be square and match the rhs length")
+    rows = []
+    for row, b in zip(matrix, rhs):
+        entries = [p.coeffs for p in (*row, b)]
+        scale = lcm(*(c.denominator for p in entries for c in p))
+        rows.append([[c.numerator * (scale // c.denominator) for c in p] for p in entries])
+    bound = prod(max(1, sum(abs(c) for p in row for c in p)) for row in rows)
+    k = bound.bit_length() + 1
+    y, d = _bareiss([[_pack(p, k) for p in row[:m]] for row in rows], [_pack(row[m], k) for row in rows])
+    y, d = [Poly(_unpack(v, k)) for v in y], Poly(_unpack(d, k))
+    for row, b in zip(matrix, rhs):
+        if sum((p * yj for p, yj in zip(row, y)), Poly()) != d * b:
+            raise ArithmeticError("polynomial solve failed verification")
+    return y, d
+
+
+def _pack(coeffs: Sequence[int], k: int) -> int:
+    """The value at z = 2^k of the polynomial with these integer coefficients."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << k) + c
+    return v
+
+
+def _unpack(v: int, k: int) -> list[int]:
+    """Coefficients of the polynomial whose value at 2^k is v and whose coefficients lie in [-2^(k-1), 2^(k-1))."""
+    full, half = 1 << k, 1 << (k - 1)
+    out = []
+    while v:
+        c = v & (full - 1)
+        if c >= half:
+            c -= full
+        out.append(c)
+        v = (v - c) >> k
+    return out

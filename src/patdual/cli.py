@@ -6,8 +6,9 @@ emitted as a num/den string, so JSON output round-trips without loss.
 Decimal renderings use round-half-even at the configured digit count.
 
 Exit codes: 0 success, 2 parse/usage errors, 3 precondition violations
-(invalid pattern sets and the like), 4 internal failures (singular systems,
-cross-check disagreement).
+(invalid pattern sets, requests over a work budget and the like), 4 internal
+failures (singular systems, cross-check disagreement, and an ExpansionError,
+which no valid race can cause).
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import math
 import sys
 from fractions import Fraction
 
-from .algebra import RationalFunction, SingularMatrixError
+from .algebra import ExpansionError, RationalFunction, SingularMatrixError
 from .equilibrium import solve_equilibrium
-from .oracle import _CHUNK, oracle_win_probs, simulate
+from .oracle import _CHUNK, oracle_duration, oracle_win_probs, simulate
 from .patterns import (
     Alphabet,
     ParseError,
@@ -44,6 +45,14 @@ class CrossCheckError(ArithmeticError):
 # simulate refuses a request when max(games, chunk size) * mean duration exceeds this:
 # oracle.simulate steps once per trial of a chunk's longest game, for all its games
 SIMULATION_BUDGET = 2**30
+# a series request is refused when its exact coefficients could print more digits than this:
+# coefficient k is (integer) / q^k, q the lcm of the symbol denominators, so its numerator and
+# denominator take at most k log10(q) + 1 digits each
+SERIES_DIGITS_BUDGET = 2**25
+# best-response refuses a request with more candidates, |alphabet|^length, than this
+CANDIDATES_BUDGET = 2**16
+# duel --method both --n N checks the first min(N, CHECKED_TERMS) + 1 coefficients by occupancy DP
+CHECKED_TERMS = 100
 
 
 def _fixed_point(scaled: int, digits: int, negative: bool) -> str:
@@ -56,11 +65,14 @@ def _fixed_point(scaled: int, digits: int, negative: bool) -> str:
 
 
 def decimal_str(x: Fraction, digits: int) -> str:
-    """Fixed-point decimal rendering with round-half-even."""
+    """Fixed-point decimal rendering with round-half-even; a value that rounds to 0 has no sign."""
     if digits < 0:
         raise ValueError("digits must be >= 0")
-    r = round(Fraction(x), digits)
-    return _fixed_point(abs(r.numerator) * 10**digits // r.denominator, digits, r < 0)
+    num, den = x.numerator, x.denominator
+    scaled, rest = divmod(abs(num) * 10**digits, den)
+    if 2 * rest > den or (2 * rest == den and scaled % 2):
+        scaled += 1
+    return _fixed_point(scaled, digits, num < 0 and scaled > 0)
 
 
 def sqrt_str(x: Fraction, digits: int, negative: bool = False) -> str:
@@ -95,6 +107,24 @@ def _win_rows(pairs, digits: int) -> list[dict]:
 
 def _series_rows(coeffs, digits: int) -> list[dict]:
     return [{"n": i, **_exact_decimal(c, digits)} for i, c in enumerate(coeffs)]
+
+
+def _check_series_budget(alphabet: Alphabet, n: int) -> None:
+    """ValueError (exit 3) when n + 1 coefficients could print more than SERIES_DIGITS_BUDGET digits."""
+    q = math.lcm(*(p.denominator for p in alphabet.probs))
+    digits = (n + 1) * (n * math.log10(q) + 2)  # sum over k = 0..n of 2 (k log10(q) + 1)
+    if digits > SERIES_DIGITS_BUDGET:
+        raise ValueError(
+            f"series over budget: {n + 1} coefficients over denominators up to {q}^{n} "
+            f"could print {digits:.3g} digits, more than {SERIES_DIGITS_BUDGET}"
+        )
+
+
+def _check_candidates_budget(alphabet: Alphabet, length: int) -> None:
+    """ValueError (exit 3) when best-response would rank more than CANDIDATES_BUDGET candidates."""
+    # |alphabet| >= 2, so the first test settles long lengths without computing the power
+    if length > CANDIDATES_BUDGET.bit_length() or len(alphabet) ** length > CANDIDATES_BUDGET:
+        raise ValueError(f"best-response over budget: {len(alphabet)}^{length} candidates exceed {CANDIDATES_BUDGET}")
 
 
 def parse_patterns_option(values: list[str], alphabet: Alphabet) -> list[Pattern]:
@@ -132,6 +162,7 @@ def cmd_first_passage(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict
     pattern = patterns[0]
     sol = DuelSolution(PatternSet(alphabet, (pattern,)), (first_passage_pgf(pattern),))
     n = args.n if args.n is not None else 4 * math.ceil(sol.mean)
+    _check_series_budget(alphabet, n)
     return {
         "pattern": pattern.text,
         "pgf": _rf_json(sol.duration),
@@ -145,6 +176,8 @@ def cmd_duel(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
     if len(patterns) < 2:
         raise PatternSetError("duel requires at least two patterns")
     ps = PatternSet(alphabet, tuple(patterns))
+    if args.n is not None:
+        _check_series_budget(alphabet, args.n)
     results: dict = {"method": args.method}
 
     if args.method != "equilibrium":
@@ -159,7 +192,8 @@ def cmd_duel(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
             "skewness": "nan" if v == 0 else sqrt_str(t * t / v**3, args.digits, t < 0),
         }
         if args.n is not None:
-            results["coefficients"] = _series_rows(sol.duration.series(args.n), args.digits)
+            series = sol.duration.series(args.n)
+            results["coefficients"] = _series_rows(series, args.digits)
     if args.method != "pgf":
         eq = solve_equilibrium(ps)
         rates = [str(yi) for yi in eq.y]
@@ -173,6 +207,8 @@ def cmd_duel(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
         # the independent check
         elif oracle_win_probs(ps) != (sol.win_probs, sol.mean, sol.variance):
             raise CrossCheckError("generating-function and absorbing-chain results disagree")
+        elif args.n is not None and series[:CHECKED_TERMS + 1] != oracle_duration(ps, min(args.n, CHECKED_TERMS)):
+            raise CrossCheckError("duration series and the occupancy DP on the race automaton disagree")
         else:
             results["equilibrium"] = {"rates": rates, "win": win, "expected_duration": mean}
             results["cross_check"] = "ok"
@@ -227,6 +263,7 @@ def cmd_best_response(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict
     if len(patterns) != 1:
         raise PatternSetError("best-response requires exactly one opponent pattern")
     opponent = patterns[0]
+    _check_candidates_budget(alphabet, args.length)
     ranked = []
     skipped = []
     for symbols in itertools.product(range(len(alphabet)), repeat=args.length):
@@ -411,6 +448,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ExpansionError as exc:  # a ValueError, but no valid race can raise it
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (PatternSetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

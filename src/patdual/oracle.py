@@ -1,9 +1,11 @@
 """Ground-truth engines independent of the generating-function machinery.
 
-Two validators live here: an exact absorbing-Markov-chain solver over the
-pattern-set suffix automaton (exact integer and Fraction arithmetic, so
-comparisons with the analytic engines are equalities, not tolerances), and
-a seeded Monte Carlo simulator for statistical sanity checks.
+Two validators live here: exact solvers over the pattern-set suffix
+automaton (an absorbing-Markov-chain solver for the wins and moments and an
+occupancy DP for the duration law, in exact integer and Fraction
+arithmetic, so comparisons with the analytic engines are equalities, not
+tolerances), and a seeded Monte Carlo simulator for statistical sanity
+checks.
 
 The simulator draws from numpy's PCG64 generator.  Games are processed in
 fixed chunks of 2**16; chunk c uses the stream seeded by
@@ -27,6 +29,7 @@ __all__ = [
     "SimReport",
     "SuffixAutomaton",
     "build_automaton",
+    "oracle_duration",
     "oracle_first_passage",
     "oracle_win_probs",
     "simulate",
@@ -156,39 +159,47 @@ def oracle_win_probs(ps: PatternSet) -> OracleStats:
     return OracleStats(tuple(wins), mean, second - mean * mean)
 
 
-def oracle_first_passage(
-    pattern: Pattern, n: int, head_start: Sequence[int] = ()
-) -> SeriesPrefix:
-    """Exact first-completion probabilities f_0..f_n by occupancy DP.
+def oracle_duration(ps: PatternSet, n: int, head_start: Sequence[int] = ()) -> SeriesPrefix:
+    """Exact probabilities f_0..f_n that the race over ps ends at each trial, by occupancy DP.
 
-    Advances the transient-state occupancy vector of the single-pattern
-    automaton one trial at a time; `head_start` symbols (which must not
-    already complete the pattern) fix the starting state.
+    Advances the transient-state occupancy vector of the race's automaton
+    one trial at a time, over ints: with probabilities w_c / d, d^t times
+    each occupancy after t trials is an integer.  `head_start` symbols
+    (which must not already complete a pattern) fix the starting state.
     """
     if n < 0:
         raise ValueError("series length must be >= 0")
-    ps = PatternSet(pattern.alphabet, (pattern,))
     auto = build_automaton(ps)
     nt = auto.n_transient
-    probs = pattern.alphabet.probs
+    probs = ps.alphabet.probs
+    d = lcm(*(p.denominator for p in probs))
+    weights = [p.numerator * (d // p.denominator) for p in probs]
 
-    occupancy = [Fraction(0)] * nt
-    occupancy[auto.state_of(tuple(head_start))] = Fraction(1)
+    occupancy = [0] * nt
+    occupancy[auto.state_of(tuple(head_start))] = 1
     out: list[Fraction] = [Fraction(0)]
+    scale = 1
     for _ in range(n):
-        nxt_occ = [Fraction(0)] * nt
-        absorbed = Fraction(0)
+        scale *= d
+        nxt_occ = [0] * nt
+        absorbed = 0
         for t, mass in enumerate(occupancy):
-            if mass == 0:
-                continue
-            for c, nxt in enumerate(auto.transitions[t]):
-                if nxt < nt:
-                    nxt_occ[nxt] += mass * probs[c]
-                else:
-                    absorbed += mass * probs[c]
-        out.append(absorbed)
+            if mass:
+                for w, nxt in zip(weights, auto.transitions[t]):
+                    if nxt < nt:
+                        nxt_occ[nxt] += mass * w
+                    else:
+                        absorbed += mass * w
+        out.append(Fraction(absorbed, scale))
         occupancy = nxt_occ
     return tuple(out)
+
+
+def oracle_first_passage(
+    pattern: Pattern, n: int, head_start: Sequence[int] = ()
+) -> SeriesPrefix:
+    """Exact first-completion probabilities f_0..f_n of one pattern (see oracle_duration)."""
+    return oracle_duration(PatternSet(pattern.alphabet, (pattern,)), n, head_start)
 
 
 @dataclass(frozen=True)

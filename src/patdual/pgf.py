@@ -22,8 +22,14 @@ probabilities and the moments need no rational function: N(1 + w) has
 exact Fraction coefficients in w, the coefficients of u(w) follow from
 m x m Fraction solves with N(1) (the correlation matrix of Guibas and
 Odlyzko), and D(1 + w) = g(w) / (g(w) - w) is a power-series division.
+
 The rational functions x and D are built only when a series or a PGF is
-asked for.
+asked for, and then without rational-function elimination: with L the
+longest overlap, Ntilde(z) = z^L N(z) is a polynomial matrix, read off
+M(z) as z^L (M - J) / (1 - z).  One fraction-free solve over Z[z] gives
+det Ntilde and y = adj(Ntilde) 1, and then
+x_i = z^L y_i / (z^L sum(y) + (1 - z) det Ntilde), and D is z^L sum(y)
+over the same denominator.
 """
 
 from __future__ import annotations
@@ -32,7 +38,14 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .algebra import Poly, RationalFunction, SingularMatrixError, _series_prefix, solve_linear_system
+from .algebra import (
+    Poly,
+    RationalFunction,
+    SingularMatrixError,
+    _series_prefix,
+    solve_linear_system,
+    solve_polynomial_system,
+)
 from .patterns import (
     Alphabet,
     Pattern,
@@ -52,6 +65,9 @@ __all__ = [
 ]
 
 
+_ONE_MINUS_Z = Poly((1, -1))
+
+
 def _first_passage_rf(symbols: tuple[int, ...], alphabet: Alphabet) -> RationalFunction:
     """First-passage PGF of a raw symbol string; the empty string gives 1."""
     if not symbols:
@@ -63,8 +79,7 @@ def _first_passage_rf(symbols: tuple[int, ...], alphabet: Alphabet) -> RationalF
         tail = string_probability(symbols[shift:], alphabet)
         overlap_sum += Poly.monomial(k - shift, tail)
     lead = Poly.monomial(k, p_full)
-    one_minus_z = Poly((1, -1))
-    return RationalFunction(lead, lead + one_minus_z * overlap_sum)
+    return RationalFunction(lead, lead + _ONE_MINUS_Z * overlap_sum)
 
 
 def first_passage_pgf(pattern: Pattern) -> RationalFunction:
@@ -122,20 +137,20 @@ class DuelSolution:
     N(1) u_0 = 1, and the k-th factorial moment is k! times the w^k
     coefficient of D(1 + w).  `x[i]` generates the probabilities of pattern
     i winning at each trial, and the duration PGF D is their sum.  Unless
-    `x` is handed in, it is solved from the race matrix on first read and
-    checked against the win probabilities at z = 1.  With one pattern and
-    x = (its first-passage PGF,), the same attributes describe its waiting
-    time.
+    `x` is handed in, x and D are solved from the race matrix on first read
+    and x is checked against the win probabilities at z = 1.  With one
+    pattern and x = (its first-passage PGF,), the same attributes describe
+    its waiting time.
     """
 
     def __init__(self, pattern_set: PatternSet, x: tuple[RationalFunction, ...] | None = None):
         self.pattern_set = pattern_set
         if x is not None:
-            self.x = x  # shadows the cached property below
+            self._generating_functions = x, sum(x[1:], x[0])  # shadows the cached property below
 
-    def _solve(self, matrix: list[list], rhs: list) -> list:
+    def _solve(self, solver, matrix: list[list], rhs: list):
         try:
-            return solve_linear_system(matrix, rhs)
+            return solver(matrix, rhs)
         except SingularMatrixError as exc:
             names = ", ".join(str(p) for p in self.pattern_set.patterns)
             raise SingularMatrixError(exc.column, f"race system singular for patterns {names}") from exc
@@ -157,7 +172,7 @@ class DuelSolution:
     @cached_property
     def _u0(self) -> list[Fraction]:
         """N(1)^(-1) 1: all that the win probabilities need."""
-        return self._solve(self._correlation(0), [Fraction(1)] * len(self.pattern_set))
+        return self._solve(solve_linear_system, self._correlation(0), [Fraction(1)] * len(self.pattern_set))
 
     @cached_property
     def win_probs(self) -> tuple[Fraction, ...]:
@@ -165,17 +180,35 @@ class DuelSolution:
         return tuple(ui / g0 for ui in self._u0)
 
     @cached_property
-    def x(self) -> tuple[RationalFunction, ...]:
-        """Win generating functions, by Gaussian elimination on the race matrix M(z)."""
-        ones = [RationalFunction.one()] * len(self.pattern_set)
-        x = tuple(self._solve(build_duel_matrix(self.pattern_set), ones))
+    def _generating_functions(self) -> tuple[tuple[RationalFunction, ...], RationalFunction]:
+        """x and D over one denominator, from one fraction-free solve with z^L N(z) (module docstring)."""
+        matrix = build_duel_matrix(self.pattern_set)
+        shift = Poly.monomial(max(entry.den.degree for row in matrix for entry in row))
+        n_tilde = []
+        for row in matrix:
+            n_tilde.append([])
+            for entry in row:
+                quotient, remainder = divmod(shift * (entry.num - entry.den), _ONE_MINUS_Z * entry.den)
+                if remainder:
+                    raise ArithmeticError("race matrix is not J + (1 - z) N(z) with z^L N(z) a polynomial")
+                n_tilde[-1].append(quotient)
+        y, det = self._solve(solve_polynomial_system, n_tilde, [Poly.one()] * len(matrix))
+        total = sum(y[1:], y[0])
+        den = shift * total + _ONE_MINUS_Z * det
+        x = tuple(RationalFunction(shift * yi, den) for yi in y)
         if tuple(xi.limit_at_one() for xi in x) != self.win_probs:
             raise ArithmeticError("win generating functions disagree with the win probabilities at z = 1")
-        return x
+        return x, RationalFunction(shift * total, den)
 
-    @cached_property
+    @property
+    def x(self) -> tuple[RationalFunction, ...]:
+        """Win generating functions: x[i] generates P(pattern i wins at trial t)."""
+        return self._generating_functions[0]
+
+    @property
     def duration(self) -> RationalFunction:
-        return sum(self.x[1:], self.x[0])
+        """Duration PGF D, the sum of the win generating functions."""
+        return self._generating_functions[1]
 
     @cached_property
     def _at_one(self) -> tuple[Fraction, ...]:
@@ -189,7 +222,7 @@ class DuelSolution:
         u = [self._u0]
         for k in (1, 2, 3):
             rhs = [-sum(n[t][i][j] * u[k - t][j] for t in range(1, k + 1) for j in range(m)) for i in range(m)]
-            u.append(self._solve(n[0], rhs))
+            u.append(self._solve(solve_linear_system, n[0], rhs))
         g = [sum(uk) for uk in u]
         return _series_prefix(g, [g[0], g[1] - 1, g[2], g[3]], 3, "race duration has no finite mean")
 

@@ -6,11 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from patdual.algebra import (
+    ExpansionError,
     Poly,
     RationalFunction,
     SingularMatrixError,
+    _series_prefix,
     poly_gcd,
     solve_linear_system,
+    solve_polynomial_system,
 )
 
 RF = RationalFunction
@@ -145,6 +148,31 @@ def test_derivative_matches_independent_quotient_rule_at_points():
         checked += 1
 
 
+# denominators with primes past the small-prime table (53, 97, 101), with prime powers,
+# and with both; numerators of any sign, so num(0) is often fractional and negative
+wide_frac = st.builds(F, st.integers(-60, 60), st.sampled_from((1, 2, 3, 4, 6, 9, 25, 49, 53, 97, 106, 128, 606)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num=st.lists(wide_frac, max_size=6).map(Poly),
+    den=st.lists(wide_frac, min_size=1, max_size=6).map(Poly).filter(lambda p: p.coeffs and p.coeffs[0] != 0),
+    n=st.integers(0, 25),
+)
+def test_integer_series_matches_fraction_recurrence(num, den, n):
+    f = RF(num, den)
+    assert f.series(n) == _series_prefix(f.num.coeffs, f.den.coeffs, n, "not a power series")
+
+
+def test_expansion_failures_raise_expansion_error():
+    with pytest.raises(ExpansionError, match="not a power series"):
+        RF(Poly.one(), Z).series(3)
+    with pytest.raises(ExpansionError, match="pole at z = 1"):
+        RF(Poly.one(), ONE_MINUS_Z).limit_at_one()
+    with pytest.raises(ExpansionError, match="pole at z = 1"):
+        RF(Poly.one(), ONE_MINUS_Z).expansion_at_one(2)
+
+
 def test_limit_at_one_examples():
     assert RF(Z).limit_at_one() == 1
     assert RF(Poly((1, 0, -1)), ONE_MINUS_Z).limit_at_one() == 2
@@ -234,3 +262,27 @@ def test_solve_random_rational_systems_by_residual():
             continue
         for i in range(m):
             assert sum(a[i][j] * x[j] for j in range(m)) == b[i]
+
+
+def test_solve_polynomial_systems_against_rational_function_elimination():
+    rng = random.Random(5)
+
+    def poly():
+        return Poly([F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(rng.randint(0, 4))])
+
+    solved = 0
+    for _ in range(40):
+        m = rng.randint(1, 3)
+        a = [[poly() for _ in range(m)] for _ in range(m)]
+        b = [poly() for _ in range(m)]
+        try:
+            expected = solve_linear_system([[RF(p) for p in row] for row in a], [RF(p) for p in b])
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError) as got:
+                solve_polynomial_system(a, b)
+            assert got.value.column == exc.column
+            continue
+        y, d = solve_polynomial_system(a, b)
+        assert [RF(yi, d) for yi in y] == expected
+        solved += 1
+    assert solved >= 20

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from patdual import cli
-from patdual.algebra import SingularMatrixError
+from patdual import cli, equilibrium, oracle, pgf
+from patdual.algebra import ExpansionError, RationalFunction, SingularMatrixError
 from patdual.cli import decimal_str, main, percent_str, sqrt_str
+from patdual.patterns import parse_alphabet
 DATA = Path(__file__).parent / "data"
 
 
@@ -33,6 +34,9 @@ def test_decimal_rendering_is_half_even():
     assert decimal_str(F(1, 8), 2) == "0.12"  # 0.125 rounds to even
     assert decimal_str(F(3, 8), 2) == "0.38"
     assert decimal_str(F(-1, 8), 2) == "-0.12"
+    assert decimal_str(F(-3, 8), 2) == "-0.38"
+    assert decimal_str(F(-1, 200), 2) == "0.00"  # -0.005 rounds to even, 0, which has no sign
+    assert decimal_str(F(-1, 150), 2) == "-0.01"
     assert decimal_str(F(5), 0) == "5"
     assert percent_str(F(62, 71), 4) == "87.32%"
     assert percent_str(F(9, 71), 4) == "12.68%"
@@ -266,12 +270,39 @@ def test_exit_code_4_on_internal_failures(capsys, monkeypatch):
     code, _, err = run(capsys, "duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH")
     assert code == 4 and "pivot" in err
 
+    # an expansion that fails is an engine fault, although ExpansionError is a ValueError
+    def no_series(self, n):
+        raise ExpansionError("not a power series: denominator has zero constant term")
+
+    monkeypatch.setattr(RationalFunction, "series", no_series)
+    code, _, err = run(capsys, "first-passage", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH", "--n", "3")
+    assert code == 4 and "not a power series" in err
+
 
 def test_method_both_checks_the_chain_oracle(capsys, monkeypatch):
     oracle = cli.oracle_win_probs
     monkeypatch.setattr(cli, "oracle_win_probs", lambda ps: oracle(ps)._replace(mean=oracle(ps).mean + 1))
     code, _, err = run(capsys, "duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--method", "both")
     assert code == 4 and "absorbing-chain" in err
+
+
+def test_method_both_checks_the_series_by_occupancy_dp(capsys, monkeypatch):
+    argv = ("duel", "--alphabet", "H:1/3,T:2/3", "--patterns", "HHT,THT", "--method", "both", "--n", "150")
+    doc = run_json(capsys, *argv)
+    assert doc["results"]["cross_check"] == "ok" and len(doc["results"]["coefficients"]) == 151
+
+    checked = []
+    dp = cli.oracle_duration
+
+    def off_by_one_ulp(ps, n):
+        checked.append(n)
+        series = dp(ps, n)
+        return (*series[:-1], series[-1] + F(1, 3**n))
+
+    monkeypatch.setattr(cli, "oracle_duration", off_by_one_ulp)
+    code, _, err = run(capsys, *argv)
+    assert code == 4 and "occupancy DP" in err
+    assert checked == [cli.CHECKED_TERMS]
 
 
 def test_simulation_over_budget_exits_3_without_simulating(capsys, monkeypatch):
@@ -285,6 +316,54 @@ def test_simulation_over_budget_exits_3_without_simulating(capsys, monkeypatch):
         "--games", "1",
     )
     assert code == 3 and "budget" in err
+
+
+def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch):
+    def work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(RationalFunction, "series", work)
+    monkeypatch.setattr(cli, "solve_duel", work)
+    for argv in (
+        # default --n = 4 * ceil(mean) = 37,320 coefficients over denominators up to 6^37320
+        ["first-passage", "--alphabet", "A:1/2,B:1/3,C:1/6", "--patterns", "CCCCC"],
+        ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TT", "--n", "100000000"],
+        ["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HHT", "--length", "22"],
+        ["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HHT", "--length", str(10**9)],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "budget" in err, argv
+
+
+def test_benchmark_decks_are_ten_times_under_the_work_budgets(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import workloads
+
+    monkeypatch.setattr(cli, "SERIES_DIGITS_BUDGET", cli.SERIES_DIGITS_BUDGET // 10)
+    monkeypatch.setattr(cli, "CANDIDATES_BUDGET", cli.CANDIDATES_BUDGET // 10)
+    for workload in workloads.WORKLOADS:
+        for argv in workloads.deck(workload, 0):
+            flags = dict(zip(argv[1::2], argv[2::2]))
+            alphabet = parse_alphabet(flags["--alphabet"])
+            if "--n" in flags:
+                cli._check_series_budget(alphabet, int(flags["--n"]))
+            if "--length" in flags:
+                cli._check_candidates_budget(alphabet, int(flags["--length"]))
+
+
+def test_duel_series_needs_no_rational_function_elimination(capsys, monkeypatch):
+    entry_types = []
+    for module in (pgf, equilibrium, oracle):
+        def recorded(matrix, rhs, solve=module.solve_linear_system):
+            entry_types.append({type(v) for row in matrix for v in row})
+            return solve(matrix, rhs)
+
+        monkeypatch.setattr(module, "solve_linear_system", recorded)
+    doc = run_json(
+        capsys, "duel", "--alphabet", "A:1/2,B:1/3,C:1/6", "--patterns", "ABA,CAB,BBC", "--method", "both", "--n", "40"
+    )
+    assert len(doc["results"]["coefficients"]) == 41
+    assert entry_types and all(RationalFunction not in types for types in entry_types)
 
 
 def test_duel_does_not_import_numpy():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import patdual.pgf as pgf
 from patdual.algebra import Poly, RationalFunction, solve_linear_system
 from patdual.cli import main
-from patdual.oracle import oracle_first_passage, oracle_win_probs
+from patdual.oracle import oracle_duration, oracle_first_passage, oracle_win_probs
 from patdual.patterns import (
     Alphabet,
     Pattern,
@@ -310,6 +310,7 @@ def test_win_prob_series_matches_enumeration():
             assert list(per_pattern[i]) == expected[i]
         for t in range(n + 1):
             assert dur[t] == sum(per_pattern[i][t] for i in range(len(ps)))
+        assert list(oracle_duration(ps, n)) == [sum(wins[t] for wins in expected) for t in range(n + 1)]
 
 
 def test_duel_agrees_with_chain_solver_on_random_triples():
@@ -354,7 +355,7 @@ def test_moments_share_one_derivative_chain(monkeypatch):
 
     sol.mean, sol.variance, sol.std, sol.skewness, sol.third_central_moment
     assert len(calls) == 0  # moments come from one expansion at z = 1
-    assert "duration" not in vars(sol)  # and need no duration PGF
+    assert "_generating_functions" not in vars(sol)  # and need no duration PGF
 
 
 def test_first_passage_solution_matches_chain_solver():
@@ -408,6 +409,8 @@ def test_correlation_route_matches_rational_function_route(ps):
     d = [sum(c) for c in zip(*(xi.expansion_at_one(3) for xi in x))]  # E[C(T, k)], k = 0..3
     mean, raw_second, raw_third = d[1], 2 * d[2] + d[1], 6 * d[3] + 6 * d[2] + d[1]
     sol = solve_duel(ps)
+    assert sol.x == tuple(x)
+    assert sol.duration == sum(x[1:], x[0])
     assert sol.win_probs == tuple(xi.limit_at_one() for xi in x)
     assert sol.mean == mean
     assert sol.variance == raw_second - mean**2
@@ -426,7 +429,7 @@ def test_race_answers_build_no_rational_function(monkeypatch):
     sol = solve_duel(pset("TTTHTTT", "TTHTTTTHT", "HTHH"))
     sol.win_probs, sol.mean, sol.variance, sol.third_central_moment
     assert builds == []
-    assert "x" not in vars(sol)
+    assert "_generating_functions" not in vars(sol)
 
 
 def test_x_that_disagrees_with_the_win_probabilities_is_refused(monkeypatch):
