@@ -10,8 +10,11 @@ checks.
 The simulator draws from numpy's PCG64 generator.  Games are processed in
 fixed chunks of 2**16; chunk c uses the stream seeded by
 SeedSequence([seed, c]), so results depend only on (seed, games) and stay
-identical however the chunks are scheduled.  Symbol thresholds are
-double-precision floats; the analytic paths are unaffected.
+identical however the chunks are scheduled.  Each step draws one double u
+per live game, in game order, and the symbol is the number of cumulative
+thresholds <= u (what searchsorted(..., side="right") returns), so reports
+equal those of earlier releases.  Symbol thresholds are double-precision
+floats; the analytic paths are unaffected.
 """
 
 from __future__ import annotations
@@ -230,40 +233,43 @@ def simulate(ps: PatternSet, games: int, seed: int) -> SimReport:
 
     See the module docstring for the PRNG and chunking scheme.
     """
-    import numpy as np  # only the simulator needs it, and it dominates import time
     if games < 1:
         raise ValueError("games must be >= 1")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    import numpy as np  # only the simulator needs it, and it dominates import time
     auto = build_automaton(ps)
-    nt = auto.n_transient
-    m = len(ps)
-    trans = np.array(auto.transitions, dtype=np.int64)
+    nt, k = auto.n_transient, len(ps.alphabet)
+    # flat[s*k + c] is the successor s' pre-scaled to s'*k, or stop + j when pattern j completes
+    stop = nt * k
+    flat = np.array([n * k if n < nt else stop + n - nt for row in auto.transitions for n in row], dtype=np.int64)
     thresholds = np.cumsum(np.array([float(p) for p in ps.alphabet.probs]))[:-1]
+    buf = np.empty(min(games, _CHUNK))
 
-    wins = np.zeros(m, dtype=np.int64)
+    wins = [0] * len(ps)
     duration_sum = 0
     duration_sq_sum = 0
     for chunk_index, start in enumerate(range(0, games, _CHUNK)):
-        count = min(_CHUNK, games - start)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, chunk_index])))
-        state = np.zeros(count, dtype=np.int64)
+        state = np.zeros(min(_CHUNK, games - start), dtype=np.int64)  # s*k per live game
         t = 0
         while state.size:
             t += 1
-            symbols = np.searchsorted(thresholds, rng.random(state.size), side="right")
-            nxt = trans[state, symbols]
-            done = nxt >= nt
-            if done.any():
-                finished = nxt[done] - nt
-                wins += np.bincount(finished, minlength=m)
-                k = int(done.sum())
-                duration_sum += t * k
-                duration_sq_sum += t * t * k
-            state = nxt[~done]
+            u = rng.random(state.size, out=buf[: state.size])
+            for th in thresholds:
+                state += u >= th
+            nxt = flat[state]
+            if nxt.max() >= stop:
+                for j in range(len(wins)):
+                    ended = int(np.count_nonzero(nxt == stop + j))
+                    wins[j] += ended
+                    duration_sum += t * ended
+                    duration_sq_sum += t * t * ended
+                nxt = nxt[nxt < stop]
+            state = nxt
     return SimReport(
         games=games,
-        wins=tuple(int(w) for w in wins),
+        wins=tuple(wins),
         duration_sum=duration_sum,
         duration_sq_sum=duration_sq_sum,
         seed=seed,

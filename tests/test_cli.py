@@ -12,7 +12,7 @@ import pytest
 from patdual import cli, equilibrium, oracle, pgf
 from patdual.algebra import ExpansionError, RationalFunction, SingularMatrixError
 from patdual.cli import decimal_str, main, percent_str, sqrt_str
-from patdual.patterns import parse_alphabet
+from patdual.patterns import Pattern, PatternSet, parse_alphabet
 DATA = Path(__file__).parent / "data"
 
 
@@ -349,6 +349,10 @@ def test_benchmark_decks_are_ten_times_under_the_work_budgets(monkeypatch):
                 cli._check_series_budget(alphabet, int(flags["--n"]))
             if "--length" in flags:
                 cli._check_candidates_budget(alphabet, int(flags["--length"]))
+            if argv[0] == "simulate":
+                patterns = tuple(Pattern.parse(text, alphabet) for text in flags["--patterns"].split(","))
+                mean = pgf.solve_duel(PatternSet(alphabet, patterns)).mean
+                assert max(int(flags["--games"]), oracle._CHUNK) * mean <= cli.SIMULATION_BUDGET // 10, argv
 
 
 def test_duel_series_needs_no_rational_function_elimination(capsys, monkeypatch):

@@ -1,17 +1,29 @@
+import os
+import subprocess
+import sys
+from bisect import bisect_right
 from fractions import Fraction as F
+from itertools import accumulate
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from patdual.algebra import solve_linear_system
 from patdual.oracle import (
+    SimReport,
     build_automaton,
     oracle_first_passage,
     oracle_win_probs,
     simulate,
 )
-from patdual.patterns import Alphabet, Pattern, PatternSet
+from patdual.patterns import Alphabet, Pattern, PatternSet, PatternSetError
 
 COIN = Alphabet.coin(F(1, 2))
+BIASED = Alphabet.coin(F(1, 3))
+THREE = Alphabet(("A", "B", "C"), (F(1, 2), F(1, 3), F(1, 6)))
 
 
 def pset(*texts, alphabet=COIN):
@@ -178,3 +190,92 @@ def test_simulate_validates_seed_range():
         with pytest.raises(ValueError):
             simulate(ps, 10, seed=seed)
     assert simulate(ps, 10, seed=2**64 - 1).seed == 2**64 - 1
+
+
+# Exact reports of earlier releases, which the simulator must reproduce bit for bit.
+# Games 65,536 and 65,537 sit on either side of the first chunk boundary; 200,000 spans four chunks.
+PINNED_REPORTS = [
+    (COIN, ("HTH",), 1, 0, (1,), 14, 196),
+    (COIN, ("HH", "TH"), 1, 2**64 - 1, (0, 1), 3, 9),
+    (COIN, ("TTTHTTT", "TTHTTTTHT"), 65_536, 2**64 - 1, (57172, 8364), 8407978, 2049920044),
+    (BIASED, ("HHT", "THT"), 65_537, 0, (26851, 38686), 360719, 2437533),
+    (THREE, ("ABC",), 65_537, 2**64 - 1, (65537,), 2360485, 158099907),
+    (BIASED, ("TTH", "THHH", "HHHH", "HTHTH"), 200_000, 0, (180068, 9022, 2460, 8450), 1216483, 8944875),
+    (THREE, ("CCA", "ABB", "BAA", "AABC"), 200_000, 2**64 - 1, (19111, 66448, 103544, 10897), 1443202, 14349972),
+]
+
+
+@pytest.mark.parametrize("alphabet, texts, games, seed, wins, total, squares", PINNED_REPORTS)
+def test_simulate_reports_equal_earlier_releases(alphabet, texts, games, seed, wins, total, squares):
+    assert simulate(pset(*texts, alphabet=alphabet), games, seed) == SimReport(games, wins, total, squares, seed)
+
+
+def stepped_simulation(ps, games, seed):
+    """The simulator's stream walked one game at a time: one generator per chunk of 2**16
+    games, one double per live game per step in game order, mapped by bisection."""
+    auto = build_automaton(ps)
+    nt = auto.n_transient
+    thresholds = list(accumulate(float(p) for p in ps.alphabet.probs))[:-1]
+    wins = [0] * len(ps)
+    total = squares = 0
+    for chunk, start in enumerate(range(0, games, 1 << 16)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, chunk])))
+        live = [0] * min(1 << 16, games - start)
+        t = 0
+        while live:
+            t += 1
+            survivors = []
+            for state, u in zip(live, rng.random(len(live)).tolist()):
+                nxt = auto.transitions[state][bisect_right(thresholds, u)]
+                if nxt < nt:
+                    survivors.append(nxt)
+                else:
+                    wins[nxt - nt] += 1
+                    total += t
+                    squares += t * t
+            live = survivors
+    return SimReport(games, tuple(wins), total, squares, seed)
+
+
+@st.composite
+def short_races(draw):
+    """Valid sets of 1-4 patterns of length 1-6 over 2-4 biased symbols, with mean duration <= 50."""
+    labels = "ABCD"[: draw(st.integers(2, 4))]
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(labels), max_size=len(labels)))
+    alphabet = Alphabet(tuple(labels), tuple(F(w, sum(weights)) for w in weights))
+    texts = draw(st.lists(st.text(labels, min_size=1, max_size=6), min_size=1, max_size=4))
+    try:
+        ps = PatternSet(alphabet, tuple(Pattern.parse(t, alphabet) for t in texts))
+    except PatternSetError:
+        assume(False)
+    assume(oracle_win_probs(ps).mean <= 50)
+    return ps
+
+
+@settings(max_examples=40, deadline=None)
+@given(short_races(), st.integers(1, 300), st.integers(0, 2**64 - 1))
+def test_simulate_equals_a_game_by_game_stepper(ps, games, seed):
+    assert simulate(ps, games, seed) == stepped_simulation(ps, games, seed)
+
+
+def test_simulate_validates_arguments_before_loading_numpy():
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from patdual.oracle import simulate\n"
+        "from patdual.patterns import Alphabet, Pattern, PatternSet\n"
+        "coin = Alphabet.coin(Fraction(1, 2))\n"
+        "ps = PatternSet(coin, (Pattern.parse('H', coin), Pattern.parse('T', coin)))\n"
+        "for games, seed in ((0, 1), (10, -1), (10, 2**64)):\n"
+        "    try:\n"
+        "        simulate(ps, games, seed)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    sys.exit(f'simulate({games}, {seed}) did not raise')\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
