@@ -434,6 +434,12 @@ def _series_prefix(num: Sequence[Fraction], den: Sequence[Fraction], n: int, no_
     return tuple(out)
 
 
+def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers v and the least e > 0 with values = v / e."""
+    e = lcm(*(v.denominator for v in values))
+    return [v.numerator * (e // v.denominator) for v in values], e
+
+
 T = TypeVar("T")
 
 

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Sequence
 
-from .algebra import SeriesPrefix, solve_linear_system
+from .algebra import SeriesPrefix, _common_denominator, solve_linear_system
 from .patterns import Pattern, PatternSet
 
 __all__ = [
@@ -141,8 +140,7 @@ def oracle_win_probs(ps: PatternSet) -> OracleStats:
     auto = build_automaton(ps)
     n = auto.n_transient
     probs = ps.alphabet.probs
-    d = lcm(*(p.denominator for p in probs))
-    weights = [p.numerator * (d // p.denominator) for p in probs]
+    weights, d = _common_denominator(probs)
     a = [[0] * n for _ in range(n)]
     for s in range(n):
         a[s][s] += d
@@ -174,9 +172,7 @@ def oracle_duration(ps: PatternSet, n: int, head_start: Sequence[int] = ()) -> S
         raise ValueError("series length must be >= 0")
     auto = build_automaton(ps)
     nt = auto.n_transient
-    probs = ps.alphabet.probs
-    d = lcm(*(p.denominator for p in probs))
-    weights = [p.numerator * (d // p.denominator) for p in probs]
+    weights, d = _common_denominator(ps.alphabet.probs)
 
     occupancy = [0] * nt
     occupancy[auto.state_of(tuple(head_start))] = 1

@@ -18,10 +18,10 @@ The race matrix factors as M(z) = J + (1 - z) N(z), with J all ones and
 N_ij(z) = sum_l z^(-l) / P(h[:l]) over the self-overlap shifts l of the
 overlap h of j into i (0 when h is empty).  With u = N^(-1) 1 and
 g = sum(u), x = u / (g + 1 - z) and D = g / (g + 1 - z).  So the win
-probabilities and the moments need no rational function: N(1 + w) has
-exact Fraction coefficients in w, the coefficients of u(w) follow from
-m x m Fraction solves with N(1) (the correlation matrix of Guibas and
-Odlyzko), and D(1 + w) = g(w) / (g(w) - w) is a power-series division.
+probabilities and the moments need no rational function: the coefficients
+of u(w) follow from m x m solves with N(1) (the correlation matrix of
+Guibas and Odlyzko), its rows scaled to integers and solved by Bareiss,
+and D(1 + w) = g(w) / (g(w) - w) is a power-series division.
 
 The rational functions x and D are built only when a series or a PGF is
 asked for, and then without rational-function elimination: with L the
@@ -36,13 +36,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, prod
 
 from .algebra import (
     Poly,
     RationalFunction,
     SingularMatrixError,
-    _series_prefix,
+    _common_denominator,
     solve_linear_system,
     solve_polynomial_system,
 )
@@ -132,9 +132,9 @@ def build_duel_matrix(ps: PatternSet) -> list[list[RationalFunction]]:
 class DuelSolution:
     """Everything a race implies, each answer computed when first read and then kept.
 
-    The win probabilities and the moments come from Fraction solves with
-    N(1) (see the module docstring): win_i = u_0[i] / sum(u_0) with
-    N(1) u_0 = 1, and the k-th factorial moment is k! times the w^k
+    The win probabilities and the moments come from integer solves with
+    the row-scaled N(1) (see the module docstring): win_i = u_0[i] / sum(u_0)
+    with N(1) u_0 = 1, and the k-th factorial moment is k! times the w^k
     coefficient of D(1 + w).  `x[i]` generates the probabilities of pattern
     i winning at each trial, and the duration PGF D is their sum.  Unless
     `x` is handed in, x and D are solved from the race matrix on first read
@@ -156,28 +156,33 @@ class DuelSolution:
             raise SingularMatrixError(exc.column, f"race system singular for patterns {names}") from exc
 
     @cached_property
-    def _terms(self) -> list[list[tuple[tuple[int, Fraction], ...]]]:
-        """Entry (i, j): the pairs (l, 1 / P(h[:l])) that make up N_ij(z) = sum z^(-l) / P(h[:l])."""
-        ps = self.pattern_set
-        heads = [[overlap_string(pat_j, pat_i) for pat_j in ps.patterns] for pat_i in ps.patterns]
-        return [[tuple((l, 1 / string_probability(h[:l], ps.alphabet)) for l in overlap_shifts(h, h)) for h in row]
-                for row in heads]
+    def _integer_system(self) -> tuple[list[list[list[int]]], list[int]]:
+        """Row i of N_t (the w^t coefficient of N(1 + w)) times s_i, for t = 0, 1, 2; and s.
 
-    def _correlation(self, t: int) -> list[list[Fraction]]:
-        """N_t, the w^t coefficient of N(1 + w); (1 + w)^(-l) contributes (-1)^t C(l + t - 1, t)."""
-        sign = (-1) ** t
-        return [[sign * sum((comb(l + t - 1, t) * w for l, w in entry), Fraction(0)) for entry in row]
-                for row in self._terms]
+        Entry (i, j) sums (1 + w)^(-l) s_i / P(i[:l]) over the overlap shifts l of j into i (those of h,
+        a prefix of i); s_i / P(i[:l]) = w_l, the symbol denominators over i[:l] times the numerators over i[l:].
+        """
+        patterns, probs = self.pattern_set.patterns, self.pattern_set.alphabet.probs
+        rows = []
+        for pat_i in patterns:
+            w = [prod(probs[c].numerator for c in pat_i.symbols)]
+            for c in pat_i.symbols:
+                w.append(w[-1] // probs[c].numerator * probs[c].denominator)
+            rows.append((w, [overlap_shifts(pat_j.symbols, pat_i.symbols) for pat_j in patterns]))
+        n = [[[(-1) ** t * sum(comb(l + t - 1, t) * w[l] for l in ls) for ls in shifts] for w, shifts in rows]
+             for t in range(3)]
+        return n, [w[0] for w, _ in rows]
 
     @cached_property
-    def _u0(self) -> list[Fraction]:
-        """N(1)^(-1) 1: all that the win probabilities need."""
-        return self._solve(solve_linear_system, self._correlation(0), [Fraction(1)] * len(self.pattern_set))
+    def _u0(self) -> tuple[list[int], int]:
+        """N(1)^(-1) 1 as integer numerators over one denominator: all that the win probabilities need."""
+        n, scales = self._integer_system
+        return _common_denominator(self._solve(solve_linear_system, n[0], scales))
 
     @cached_property
     def win_probs(self) -> tuple[Fraction, ...]:
-        g0 = sum(self._u0)
-        return tuple(ui / g0 for ui in self._u0)
+        u0, _ = self._u0
+        return tuple(Fraction(ui, sum(u0)) for ui in u0)
 
     @cached_property
     def _generating_functions(self) -> tuple[tuple[RationalFunction, ...], RationalFunction]:
@@ -212,19 +217,22 @@ class DuelSolution:
 
     @cached_property
     def _at_one(self) -> tuple[Fraction, ...]:
-        """d_0 .. d_3 of D(1 + w) = sum_k E[C(T, k)] w^k = g(w) / (g(w) - w).
+        """d_0 .. d_3 of D(1 + w) = sum_k E[C(T, k)] w^k = g(w) / (g(w) - w) = 1 / (1 - w / g(w)).
 
-        u(w) = N(1 + w)^(-1) 1 = sum_k u_k w^k, so N_0 u_k = -sum_(t=1..k) N_t u_(k-t),
-        and g_k = sum(u_k).
+        u(w) = N(1 + w)^(-1) 1 = sum_k u_k w^k, so N_0 u_k = -sum_(t=1..k) N_t u_(k-t); g_k = sum(u_k).
+        d_3 needs 1 / g(w) only through w^2, so u_3 is not solved.  Each u_k is kept as integers over one e;
+        with g_k read as e g_k: d_1 = e / g_0, d_2 = e (e - g_1) / g_0^2, d_3 = e ((g_1 - e)^2 - g_0 g_2) / g_0^3.
         """
-        m = len(self.pattern_set)
-        n = [self._correlation(t) for t in range(4)]
-        u = [self._u0]
-        for k in (1, 2, 3):
+        n, _ = self._integer_system
+        u0, e = self._u0
+        u, m = [u0], len(u0)
+        for k in (1, 2):
             rhs = [-sum(n[t][i][j] * u[k - t][j] for t in range(1, k + 1) for j in range(m)) for i in range(m)]
-            u.append(self._solve(solve_linear_system, n[0], rhs))
-        g = [sum(uk) for uk in u]
-        return _series_prefix(g, [g[0], g[1] - 1, g[2], g[3]], 3, "race duration has no finite mean")
+            uk, f = _common_denominator(self._solve(solve_linear_system, n[0], rhs))  # u_k = uk / (f e)
+            u = [[f * v for v in ui] for ui in u] + [uk]
+            e *= f
+        g0, g1, g2 = (sum(ui) for ui in u)
+        return Fraction(1), Fraction(e, g0), Fraction(e * (e - g1), g0**2), Fraction(e * ((g1 - e)**2 - g0 * g2), g0**3)
 
     @cached_property
     def mean(self) -> Fraction:

@@ -355,19 +355,38 @@ def test_benchmark_decks_are_ten_times_under_the_work_budgets(monkeypatch):
                 assert max(int(flags["--games"]), oracle._CHUNK) * mean <= cli.SIMULATION_BUDGET // 10, argv
 
 
-def test_duel_series_needs_no_rational_function_elimination(capsys, monkeypatch):
-    entry_types = []
+def record_solves(monkeypatch) -> list:
+    """(module, matrix, rhs) of every solve_linear_system call made by pgf, equilibrium and oracle."""
+    calls = []
     for module in (pgf, equilibrium, oracle):
-        def recorded(matrix, rhs, solve=module.solve_linear_system):
-            entry_types.append({type(v) for row in matrix for v in row})
+        def recorded(matrix, rhs, solve=module.solve_linear_system, module=module):
+            calls.append((module, matrix, rhs))
             return solve(matrix, rhs)
 
         monkeypatch.setattr(module, "solve_linear_system", recorded)
+    return calls
+
+
+def test_duel_series_needs_no_rational_function_elimination(capsys, monkeypatch):
+    calls = record_solves(monkeypatch)
     doc = run_json(
         capsys, "duel", "--alphabet", "A:1/2,B:1/3,C:1/6", "--patterns", "ABA,CAB,BBC", "--method", "both", "--n", "40"
     )
     assert len(doc["results"]["coefficients"]) == 41
-    assert entry_types and all(RationalFunction not in types for types in entry_types)
+    assert calls and all(not isinstance(v, RationalFunction) for _, matrix, _ in calls for row in matrix for v in row)
+
+
+@pytest.mark.parametrize("alphabet", ["H:1/101,T:100/101", "A:1/7,B:2/11,C:52/77"])
+def test_race_systems_are_solved_over_the_integers(capsys, alphabet, monkeypatch):
+    calls = record_solves(monkeypatch)
+    patterns = "HTTH,TTHT,HHH" if alphabet.startswith("H") else "ABC,CAB,BBA"
+    doc = run_json(capsys, "duel", "--alphabet", alphabet, "--patterns", patterns, "--method", "both")
+    assert doc["results"]["cross_check"] == "ok"
+    # N(1) three times (wins, then u_1 and u_2), the stationary rates once, the chain twice
+    assert [module for module, _, _ in calls].count(pgf) == 3
+    assert {module for module, _, _ in calls} == {pgf, equilibrium, oracle}
+    for _, matrix, rhs in calls:
+        assert all(type(v) is int for v in rhs) and all(type(v) is int for row in matrix for v in row)
 
 
 def test_duel_does_not_import_numpy():

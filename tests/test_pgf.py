@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import patdual.pgf as pgf
-from patdual.algebra import Poly, RationalFunction, solve_linear_system
+from patdual.algebra import Poly, RationalFunction, SingularMatrixError, solve_linear_system
 from patdual.cli import main
 from patdual.oracle import oracle_duration, oracle_first_passage, oracle_win_probs
 from patdual.patterns import (
@@ -415,6 +415,67 @@ def test_correlation_route_matches_rational_function_route(ps):
     assert sol.mean == mean
     assert sol.variance == raw_second - mean**2
     assert sol.third_central_moment == raw_third - 3 * mean * raw_second + 2 * mean**3
+
+
+def test_win_probabilities_alone_cost_one_integer_solve(monkeypatch):
+    calls = []
+    solve = pgf.solve_linear_system
+
+    def recorded(matrix, rhs):
+        calls.append((matrix, rhs))
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(pgf, "solve_linear_system", recorded)
+    sol = solve_duel(pset("TTTHTTT", "TTHTTTTHT", "HTHH"))
+    assert sol.win_probs and len(calls) == 1
+    assert all(type(v) is int for row in calls[0][0] for v in row)
+    sol.mean, sol.variance, sol.third_central_moment
+    assert len(calls) == 3  # u_1 and u_2 reuse N(1); u_3 is never needed
+
+
+def test_singular_race_system_names_the_patterns(monkeypatch):
+    def singular(matrix, rhs):
+        raise SingularMatrixError(1)
+
+    monkeypatch.setattr(pgf, "solve_linear_system", singular)
+    with pytest.raises(SingularMatrixError, match="singular for patterns HH, TH") as exc:
+        solve_duel(pset("HH", "TH"))
+    assert exc.value.column == 1
+
+
+@st.composite
+def awkward_races(draw):
+    """Races whose row scales are large: a coin with a prime denominator, or three symbols
+    with two coprime denominators (A: a/p, B: b/q, C: the rest, over pq)."""
+    if draw(st.booleans()):
+        heads = draw(st.sampled_from([1, 2, 50, 99, 100]))
+        alphabet = Alphabet(("A", "B"), (F(heads, 101), F(101 - heads, 101)))
+    else:
+        p, q = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 101]), min_size=2, max_size=2, unique=True))
+        a, b = draw(st.integers(1, p - 1)), draw(st.integers(1, q - 1))
+        assume(F(a, p) + F(b, q) < 1)
+        alphabet = Alphabet(("A", "B", "C"), (F(a, p), F(b, q), 1 - F(a, p) - F(b, q)))
+    labels = "".join(alphabet.symbols)
+    texts = draw(st.lists(st.text(labels, min_size=1, max_size=5), min_size=1, max_size=5))
+    try:
+        return PatternSet(alphabet, tuple(Pattern.parse(t, alphabet) for t in texts))
+    except PatternSetError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(awkward_races())
+def test_integer_route_matches_the_chain_on_awkward_row_scales(ps):
+    sol = DuelSolution(ps)
+    stats = oracle_win_probs(ps)
+    assert (sol.win_probs, sol.mean, sol.variance) == (stats.win_probs, stats.mean, stats.variance)
+    d = sol.duration.expansion_at_one(3)  # from the polynomial solve, not from N(1)
+    assert sol.third_central_moment == 6 * d[3] + 6 * d[2] + d[1] - 3 * d[1] * (2 * d[2] + d[1]) + 2 * d[1] ** 3
+
+    first = PatternSet(ps.alphabet, ps.patterns[:1])
+    one = DuelSolution(first, (first_passage_pgf(first.patterns[0]),))  # a 1 x 1 N(1)
+    stats = oracle_win_probs(first)
+    assert (one.mean, one.variance) == (stats.mean, stats.variance)
 
 
 def test_race_answers_build_no_rational_function(monkeypatch):
