@@ -51,9 +51,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 class ExpansionError(ValueError):
     """A function has no power-series expansion at the requested point.
 
-    Raised for a pole at z = 1, a denominator that vanishes at z = 0, and a
-    race duration with no finite mean.  For the answers of a valid race
-    none of these can occur, so on a command's path it is an engine fault.
+    Raised for a pole at z = 1 and a denominator that vanishes at z = 0.
+    For the answers of a valid race neither can occur, so on a command's
+    path it is an engine fault.
     """
 
 

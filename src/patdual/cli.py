@@ -160,15 +160,15 @@ def cmd_first_passage(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict
     if len(patterns) != 1:
         raise PatternSetError("first-passage requires exactly one pattern")
     pattern = patterns[0]
-    sol = DuelSolution(PatternSet(alphabet, (pattern,)), (first_passage_pgf(pattern),))
+    sol, pgf = DuelSolution(PatternSet(alphabet, (pattern,))), first_passage_pgf(pattern)
     n = args.n if args.n is not None else 4 * math.ceil(sol.mean)
     _check_series_budget(alphabet, n)
     return {
         "pattern": pattern.text,
-        "pgf": _rf_json(sol.duration),
+        "pgf": _rf_json(pgf),
         "mean": _exact_decimal(sol.mean, args.digits),
         "variance": _exact_decimal(sol.variance, args.digits),
-        "coefficients": _series_rows(sol.duration.series(n), args.digits),
+        "coefficients": _series_rows(pgf.series(n), args.digits),
     }
 
 
@@ -434,7 +434,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = (parser := build_parser()).parse_args(argv)
+    if args.command == "duel" and args.method == "equilibrium" and args.n is not None:
+        parser.error("duel: --n needs --method pgf or both; the stationary-rate route gives no series")
     out = sys.stdout
     try:
         alphabet = parse_alphabet(args.alphabet)

@@ -15,21 +15,23 @@ generating function per pattern, x_i, whose value at z = 1 is that
 pattern's win probability; their sum D generates the race duration.
 
 The race matrix factors as M(z) = J + (1 - z) N(z), with J all ones and
-N_ij(z) = sum_l z^(-l) / P(h[:l]) over the self-overlap shifts l of the
-overlap h of j into i (0 when h is empty).  With u = N^(-1) 1 and
-g = sum(u), x = u / (g + 1 - z) and D = g / (g + 1 - z).  So the win
-probabilities and the moments need no rational function: the coefficients
-of u(w) follow from m x m solves with N(1) (the correlation matrix of
-Guibas and Odlyzko), its rows scaled to integers and solved by Bareiss,
-and D(1 + w) = g(w) / (g(w) - w) is a power-series division.
+N_ij(z) = sum_l z^(-l) / P(i[:l]) over the overlap shifts l of j into i.
+With u = N^(-1) 1 and g = sum(u), x = u / (g + 1 - z) and
+D = g / (g + 1 - z).  Every answer is read from one table: per pattern i,
+the overlap shifts and the integers w_l = s_i / P(i[:l]) (s_i the product
+of the symbol numerators over i) that make up row i of s_i N.  The win
+probabilities and the moments need no rational function: u(w) follows
+from integer solves with N(1) (the correlation matrix of Guibas and
+Odlyzko) by Bareiss, and D(1 + w) = g(w) / (g(w) - w) is a power-series
+division.
 
 The rational functions x and D are built only when a series or a PGF is
-asked for, and then without rational-function elimination: with L the
-longest overlap, Ntilde(z) = z^L N(z) is a polynomial matrix, read off
-M(z) as z^L (M - J) / (1 - z).  One fraction-free solve over Z[z] gives
-det Ntilde and y = adj(Ntilde) 1, and then
-x_i = z^L y_i / (z^L sum(y) + (1 - z) det Ntilde), and D is z^L sum(y)
-over the same denominator.
+asked for, without rational-function elimination: with L the longest
+pattern, row i of s_i z^L N(z) is the integer polynomials
+sum_l w_l z^(L - l).  One fraction-free solve over Z[z] with right-hand
+side s gives y and det with z^L N(z) y = det 1, and then
+x_i = z^L y_i / (z^L sum(y) + (1 - z) det), and D is z^L sum(y) over the
+same denominator.
 """
 
 from __future__ import annotations
@@ -132,21 +134,18 @@ def build_duel_matrix(ps: PatternSet) -> list[list[RationalFunction]]:
 class DuelSolution:
     """Everything a race implies, each answer computed when first read and then kept.
 
-    The win probabilities and the moments come from integer solves with
-    the row-scaled N(1) (see the module docstring): win_i = u_0[i] / sum(u_0)
-    with N(1) u_0 = 1, and the k-th factorial moment is k! times the w^k
-    coefficient of D(1 + w).  `x[i]` generates the probabilities of pattern
-    i winning at each trial, and the duration PGF D is their sum.  Unless
-    `x` is handed in, x and D are solved from the race matrix on first read
-    and x is checked against the win probabilities at z = 1.  With one
-    pattern and x = (its first-passage PGF,), the same attributes describe
-    its waiting time.
+    Every answer is read from `_table` (see the module docstring).  The win
+    probabilities and the moments come from integer solves with the
+    row-scaled N(1): win_i = u_0[i] / sum(u_0) with N(1) u_0 = 1, and the
+    k-th factorial moment is k! times the w^k coefficient of D(1 + w).
+    `x[i]` generates the probabilities of pattern i winning at each trial,
+    and the duration PGF D is their sum; both are solved from z^L N(z) on
+    first read, and x is checked against the win probabilities at z = 1.
+    With one pattern, the same attributes describe its waiting time.
     """
 
-    def __init__(self, pattern_set: PatternSet, x: tuple[RationalFunction, ...] | None = None):
+    def __init__(self, pattern_set: PatternSet):
         self.pattern_set = pattern_set
-        if x is not None:
-            self._generating_functions = x, sum(x[1:], x[0])  # shadows the cached property below
 
     def _solve(self, solver, matrix: list[list], rhs: list):
         try:
@@ -156,28 +155,34 @@ class DuelSolution:
             raise SingularMatrixError(exc.column, f"race system singular for patterns {names}") from exc
 
     @cached_property
-    def _integer_system(self) -> tuple[list[list[list[int]]], list[int]]:
-        """Row i of N_t (the w^t coefficient of N(1 + w)) times s_i, for t = 0, 1, 2; and s.
+    def _table(self) -> list[tuple[list[int], list[tuple[int, ...]]]]:
+        """Per pattern i: w_l = s_i / P(i[:l]) for l = 0 .. len(i), and the overlap shifts of each j into i.
 
-        Entry (i, j) sums (1 + w)^(-l) s_i / P(i[:l]) over the overlap shifts l of j into i (those of h,
-        a prefix of i); s_i / P(i[:l]) = w_l, the symbol denominators over i[:l] times the numerators over i[l:].
+        w_0 = s_i, the product of the symbol numerators over i, so w_l is the denominators over i[:l] times the
+        numerators over i[l:]; entry (i, j) of s_i N(z) sums z^(-l) w_l over the shifts l of j into i.
         """
         patterns, probs = self.pattern_set.patterns, self.pattern_set.alphabet.probs
-        rows = []
+        table = []
         for pat_i in patterns:
             w = [prod(probs[c].numerator for c in pat_i.symbols)]
             for c in pat_i.symbols:
                 w.append(w[-1] // probs[c].numerator * probs[c].denominator)
-            rows.append((w, [overlap_shifts(pat_j.symbols, pat_i.symbols) for pat_j in patterns]))
-        n = [[[(-1) ** t * sum(comb(l + t - 1, t) * w[l] for l in ls) for ls in shifts] for w, shifts in rows]
-             for t in range(3)]
-        return n, [w[0] for w, _ in rows]
+            table.append((w, [overlap_shifts(pat_j.symbols, pat_i.symbols) for pat_j in patterns]))
+        return table
+
+    def _correlation(self, t: int) -> list[list[int]]:
+        """Row i of N_t, the w^t coefficient of N(1 + w), times s_i; (1 + w)^(-l) gives (-1)^t C(l + t - 1, t)."""
+        return [[(-1) ** t * sum(comb(l + t - 1, t) * w[l] for l in ls) for ls in shifts] for w, shifts in self._table]
+
+    @cached_property
+    def _n0(self) -> list[list[int]]:
+        return self._correlation(0)
 
     @cached_property
     def _u0(self) -> tuple[list[int], int]:
         """N(1)^(-1) 1 as integer numerators over one denominator: all that the win probabilities need."""
-        n, scales = self._integer_system
-        return _common_denominator(self._solve(solve_linear_system, n[0], scales))
+        scales = [w[0] for w, _ in self._table]
+        return _common_denominator(self._solve(solve_linear_system, self._n0, scales))
 
     @cached_property
     def win_probs(self) -> tuple[Fraction, ...]:
@@ -186,19 +191,12 @@ class DuelSolution:
 
     @cached_property
     def _generating_functions(self) -> tuple[tuple[RationalFunction, ...], RationalFunction]:
-        """x and D over one denominator, from one fraction-free solve with z^L N(z) (module docstring)."""
-        matrix = build_duel_matrix(self.pattern_set)
-        shift = Poly.monomial(max(entry.den.degree for row in matrix for entry in row))
-        n_tilde = []
-        for row in matrix:
-            n_tilde.append([])
-            for entry in row:
-                quotient, remainder = divmod(shift * (entry.num - entry.den), _ONE_MINUS_Z * entry.den)
-                if remainder:
-                    raise ArithmeticError("race matrix is not J + (1 - z) N(z) with z^L N(z) a polynomial")
-                n_tilde[-1].append(quotient)
-        y, det = self._solve(solve_polynomial_system, n_tilde, [Poly.one()] * len(matrix))
-        total = sum(y[1:], y[0])
+        """x and D over one denominator, from one fraction-free solve with s_i z^L N(z) (module docstring)."""
+        longest = max(len(p) for p in self.pattern_set.patterns)  # L: no shift exceeds it
+        n_tilde = [[Poly([w[longest - d] if longest - d in ls else 0 for d in range(longest)]) for ls in shifts]
+                   for w, shifts in self._table]
+        y, det = self._solve(solve_polynomial_system, n_tilde, [Poly.constant(w[0]) for w, _ in self._table])
+        shift, total = Poly.monomial(longest), sum(y[1:], y[0])
         den = shift * total + _ONE_MINUS_Z * det
         x = tuple(RationalFunction(shift * yi, den) for yi in y)
         if tuple(xi.limit_at_one() for xi in x) != self.win_probs:
@@ -223,7 +221,7 @@ class DuelSolution:
         d_3 needs 1 / g(w) only through w^2, so u_3 is not solved.  Each u_k is kept as integers over one e;
         with g_k read as e g_k: d_1 = e / g_0, d_2 = e (e - g_1) / g_0^2, d_3 = e ((g_1 - e)^2 - g_0 g_2) / g_0^3.
         """
-        n, _ = self._integer_system
+        n = [self._n0, self._correlation(1), self._correlation(2)]
         u0, e = self._u0
         u, m = [u0], len(u0)
         for k in (1, 2):

@@ -369,11 +369,14 @@ def record_solves(monkeypatch) -> list:
 
 def test_duel_series_needs_no_rational_function_elimination(capsys, monkeypatch):
     calls = record_solves(monkeypatch)
+    matrices, build = [], pgf.build_duel_matrix
+    monkeypatch.setattr(pgf, "build_duel_matrix", lambda ps: matrices.append(ps) or build(ps))
     doc = run_json(
         capsys, "duel", "--alphabet", "A:1/2,B:1/3,C:1/6", "--patterns", "ABA,CAB,BBC", "--method", "both", "--n", "40"
     )
     assert len(doc["results"]["coefficients"]) == 41
     assert calls and all(not isinstance(v, RationalFunction) for _, matrix, _ in calls for row in matrix for v in row)
+    assert matrices == []  # no race matrix of rational functions is built at all
 
 
 @pytest.mark.parametrize("alphabet", ["H:1/101,T:100/101", "A:1/7,B:2/11,C:52/77"])
@@ -451,6 +454,7 @@ def test_duel_std_and_skewness_are_exact(capsys):
         ["simulate", "--patterns", "HH,TH", "--games", "10", "--seed", "-1"],
         ["simulate", "--patterns", "HH,TH", "--games", "10", "--seed", str(2**64)],
         ["duel", "--patterns", "HH,TH", "--digits", "-1"],
+        ["duel", "--patterns", "HH,TH", "--method", "equilibrium", "--n", "5"],
     ],
 )
 def test_bad_flag_values_exit_2(argv):
@@ -493,7 +497,8 @@ def test_benchmark_tracer_leaves_output_unchanged(capsys, monkeypatch):
     assert traced == untraced
     _, _, calls = tracer.self_times()
     for span in ("cli.argparse", "cli.render", "patterns.parse", "patterns.set_build", "pgf.solve_duel",
-                 "pgf.first_passage", "pgf.matrix", "pgf.moments", "algebra.gcd", "algebra.limit",
+                 "pgf.first_passage", "pgf.moments", "algebra.gcd", "algebra.limit",
                  "algebra.series", "algebra.solve", "equilibrium.solve", "oracle.simulate", "oracle.automaton"):
         assert calls[span] > 0, span
-    assert calls["algebra.derivative"] == 0  # moments come from the expansion at z = 1
+    assert calls["algebra.derivative"] == 0  # moments come from integer solves with N(1)
+    assert calls["pgf.matrix"] == 0  # x and D come from the integer table, not from the race matrix

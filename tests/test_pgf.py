@@ -354,7 +354,7 @@ def test_moments_share_one_derivative_chain(monkeypatch):
     assert len(calls) == 0  # win probabilities need no derivative
 
     sol.mean, sol.variance, sol.std, sol.skewness, sol.third_central_moment
-    assert len(calls) == 0  # moments come from one expansion at z = 1
+    assert len(calls) == 0  # moments come from integer solves with N(1)
     assert "_generating_functions" not in vars(sol)  # and need no duration PGF
 
 
@@ -362,7 +362,7 @@ def test_first_passage_solution_matches_chain_solver():
     for alphabet, text in ((COIN, "HTH"), (Alphabet.coin(F(1, 3)), "HHTH"), (Alphabet.uniform("123"), "121")):
         ps = pset(text, alphabet=alphabet)
         f = first_passage_pgf(ps.patterns[0])
-        sol = DuelSolution(ps, (f,))
+        sol = DuelSolution(ps)
         stats = oracle_win_probs(ps)
         assert sol.win_probs == (1,)
         assert sol.duration == f
@@ -426,11 +426,14 @@ def test_win_probabilities_alone_cost_one_integer_solve(monkeypatch):
         return solve(matrix, rhs)
 
     monkeypatch.setattr(pgf, "solve_linear_system", recorded)
+    built, correlation = [], DuelSolution._correlation
+    monkeypatch.setattr(DuelSolution, "_correlation", lambda self, t: built.append(t) or correlation(self, t))
     sol = solve_duel(pset("TTTHTTT", "TTHTTTTHT", "HTHH"))
-    assert sol.win_probs and len(calls) == 1
+    assert sol.win_probs and len(calls) == 1 and built == [0]  # N_1 and N_2 wait for the moments
     assert all(type(v) is int for row in calls[0][0] for v in row)
-    sol.mean, sol.variance, sol.third_central_moment
+    sol.mean, sol.variance, sol.third_central_moment, sol.x
     assert len(calls) == 3  # u_1 and u_2 reuse N(1); u_3 is never needed
+    assert built == [0, 1, 2]  # each N_t built once, and x and D need none of them
 
 
 def test_singular_race_system_names_the_patterns(monkeypatch):
@@ -471,11 +474,15 @@ def test_integer_route_matches_the_chain_on_awkward_row_scales(ps):
     assert (sol.win_probs, sol.mean, sol.variance) == (stats.win_probs, stats.mean, stats.variance)
     d = sol.duration.expansion_at_one(3)  # from the polynomial solve, not from N(1)
     assert sol.third_central_moment == 6 * d[3] + 6 * d[2] + d[1] - 3 * d[1] * (2 * d[2] + d[1]) + 2 * d[1] ** 3
+    assert sol.duration.series(12) == oracle_duration(ps, 12)  # the occupancy DP does not read the table
+    if len(ps) <= 3:
+        assert sol.x == tuple(solve_linear_system(build_duel_matrix(ps), [RF.one()] * len(ps)))
 
     first = PatternSet(ps.alphabet, ps.patterns[:1])
-    one = DuelSolution(first, (first_passage_pgf(first.patterns[0]),))  # a 1 x 1 N(1)
+    one = DuelSolution(first)  # a 1 x 1 N(1), and a 1 x 1 polynomial solve for the PGF
     stats = oracle_win_probs(first)
     assert (one.mean, one.variance) == (stats.mean, stats.variance)
+    assert one.duration == first_passage_pgf(first.patterns[0])
 
 
 def test_race_answers_build_no_rational_function(monkeypatch):
@@ -495,7 +502,12 @@ def test_race_answers_build_no_rational_function(monkeypatch):
 
 def test_x_that_disagrees_with_the_win_probabilities_is_refused(monkeypatch):
     sol = solve_duel(pset("HH", "TH"))
-    # the race matrix of the patterns in the other order, so x comes out reversed
-    monkeypatch.setattr(pgf, "build_duel_matrix", lambda ps: build_duel_matrix(pset("TH", "HH")))
+    solve = pgf.solve_polynomial_system
+
+    def reversed_y(matrix, rhs):  # so x comes out in the other pattern order
+        y, det = solve(matrix, rhs)
+        return y[::-1], det
+
+    monkeypatch.setattr(pgf, "solve_polynomial_system", reversed_y)
     with pytest.raises(ArithmeticError, match="disagree"):
         sol.x
