@@ -52,8 +52,8 @@ class ExpansionError(ValueError):
     """A function has no power-series expansion at the requested point.
 
     Raised for a pole at z = 1 and a denominator that vanishes at z = 0.
-    For the answers of a valid race neither can occur, so on a command's
-    path it is an engine fault.
+    No command expands a rational function at z = 1, so on a command's path
+    only `series` can raise it, and no valid race makes it: an engine fault.
     """
 
 

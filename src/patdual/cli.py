@@ -231,14 +231,15 @@ def cmd_simulate(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
     for i, p in enumerate(ps.patterns):
         exact = sol.win_probs[i]
         emp = report.win_frequency(i)
-        sigma = math.sqrt(float(exact * (1 - exact)) / args.games)
+        # z = (emp - exact) / sqrt(exact (1 - exact) / games), squared exactly so that no tiny win underflows
+        z = math.sqrt((emp - exact) ** 2 * args.games / (exact * (1 - exact)))
         rows.append(
             {
                 "pattern": p.text,
                 "exact": str(exact),
                 "exact_decimal": decimal_str(exact, args.digits),
                 "empirical": decimal_str(emp, args.digits),
-                "z": f"{float(emp - exact) / sigma:.{args.digits}f}",
+                "z": f"{-z if emp < exact else z:.{args.digits}f}",
             }
         )
     mean_sigma = sol.std / math.sqrt(args.games)

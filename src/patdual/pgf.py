@@ -25,20 +25,20 @@ from integer solves with N(1) (the correlation matrix of Guibas and
 Odlyzko) by Bareiss, and D(1 + w) = g(w) / (g(w) - w) is a power-series
 division.
 
-The rational functions x and D are built only when a series or a PGF is
-asked for, without rational-function elimination: with L the longest
-pattern, row i of s_i z^L N(z) is the integer polynomials
-sum_l w_l z^(L - l).  One fraction-free solve over Z[z] with right-hand
-side s gives y and det with z^L N(z) y = det 1, and then
-x_i = z^L y_i / (z^L sum(y) + (1 - z) det), and D is z^L sum(y) over the
-same denominator.
+The rational functions x and D are each built on first read, without
+rational-function elimination: with L the longest pattern, row i of
+s_i z^L N(z) is the integer polynomials sum_l w_l z^(L - l).  One
+fraction-free solve over Z[z] with right-hand side s, shared by both,
+gives y and det with z^L N(z) y = det 1; x_i = z^L y_i / den and
+D = z^L sum(y) / den, with den = z^L sum(y) + (1 - z) det.  As
+den(1) = sum(y)(1), x is checked at z = 1 on y, before x or D is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import comb, prod
+from math import comb, ldexp, prod
 
 from .algebra import (
     Poly,
@@ -131,6 +131,13 @@ def build_duel_matrix(ps: PatternSet) -> list[list[RationalFunction]]:
     return matrix
 
 
+def _sqrt(v: Fraction) -> float:
+    """sqrt(v / 4^e) 2^e, e = 0 unless v nears a float's limits, so v may pass them as long as its root does not."""
+    e = (v.numerator.bit_length() - v.denominator.bit_length()) // 2  # log4(v), to within 1
+    e = e if abs(e) > 500 else 0
+    return ldexp(float(v / Fraction(4) ** e) ** 0.5, e)
+
+
 class DuelSolution:
     """Everything a race implies, each answer computed when first read and then kept.
 
@@ -138,10 +145,9 @@ class DuelSolution:
     probabilities and the moments come from integer solves with the
     row-scaled N(1): win_i = u_0[i] / sum(u_0) with N(1) u_0 = 1, and the
     k-th factorial moment is k! times the w^k coefficient of D(1 + w).
-    `x[i]` generates the probabilities of pattern i winning at each trial,
-    and the duration PGF D is their sum; both are solved from z^L N(z) on
-    first read, and x is checked against the win probabilities at z = 1.
-    With one pattern, the same attributes describe its waiting time.
+    `x[i]` generates P(pattern i wins at trial t) and the duration PGF D is
+    their sum; each is built on first read from one shared solve with
+    z^L N(z).  With one pattern, the same attributes describe its waiting time.
     """
 
     def __init__(self, pattern_set: PatternSet):
@@ -190,28 +196,28 @@ class DuelSolution:
         return tuple(Fraction(ui, sum(u0)) for ui in u0)
 
     @cached_property
-    def _generating_functions(self) -> tuple[tuple[RationalFunction, ...], RationalFunction]:
-        """x and D over one denominator, from one fraction-free solve with s_i z^L N(z) (module docstring)."""
+    def _polynomials(self) -> tuple[Poly, list[Poly], Poly, Poly]:
+        """z^L, y, sum(y) and the denominator z^L sum(y) + (1 - z) det of x and D; at z = 1 that is sum(y)(1)."""
         longest = max(len(p) for p in self.pattern_set.patterns)  # L: no shift exceeds it
         n_tilde = [[Poly([w[longest - d] if longest - d in ls else 0 for d in range(longest)]) for ls in shifts]
                    for w, shifts in self._table]
         y, det = self._solve(solve_polynomial_system, n_tilde, [Poly.constant(w[0]) for w, _ in self._table])
         shift, total = Poly.monomial(longest), sum(y[1:], y[0])
-        den = shift * total + _ONE_MINUS_Z * det
-        x = tuple(RationalFunction(shift * yi, den) for yi in y)
-        if tuple(xi.limit_at_one() for xi in x) != self.win_probs:
+        if tuple(yi(1) / total(1) for yi in y) != self.win_probs:
             raise ArithmeticError("win generating functions disagree with the win probabilities at z = 1")
-        return x, RationalFunction(shift * total, den)
+        return shift, y, total, shift * total + _ONE_MINUS_Z * det
 
-    @property
+    @cached_property
     def x(self) -> tuple[RationalFunction, ...]:
         """Win generating functions: x[i] generates P(pattern i wins at trial t)."""
-        return self._generating_functions[0]
+        shift, y, _, den = self._polynomials
+        return tuple(RationalFunction(shift * yi, den) for yi in y)
 
-    @property
+    @cached_property
     def duration(self) -> RationalFunction:
         """Duration PGF D, the sum of the win generating functions."""
-        return self._generating_functions[1]
+        shift, _, total, den = self._polynomials
+        return RationalFunction(shift * total, den)
 
     @cached_property
     def _at_one(self) -> tuple[Fraction, ...]:
@@ -258,17 +264,14 @@ class DuelSolution:
 
     @property
     def std(self) -> float:
-        return float(self.variance) ** 0.5
+        return _sqrt(self.variance)
 
     @property
     def skewness(self) -> float:
-        """Decimal skewness; the exact third central moment is kept separately.
-
-        NaN for a deterministic duration, where skewness is undefined.
-        """
-        if self.variance == 0:
-            return float("nan")
-        return float(self.third_central_moment) / float(self.variance) ** 1.5
+        """sign(t) sqrt(t^2 / v^3), t the third central moment and v the variance; NaN when v = 0."""
+        t, v = self.third_central_moment, self.variance
+        r = _sqrt(t * t / v**3) if v else float("nan")
+        return -r if t < 0 else r
 
     def __repr__(self) -> str:
         probs = ", ".join(f"{p}={w}" for p, w in zip(self.pattern_set.patterns, self.win_probs))

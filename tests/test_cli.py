@@ -157,6 +157,13 @@ def test_simulate_is_seed_reproducible(capsys):
     assert run_json(capsys, *args) == run_json(capsys, *args)
 
 
+def test_simulate_z_of_a_win_probability_below_the_float_range(capsys):
+    p = F(1, 10**20)  # the long pattern wins with probability 10^-340, which no float holds
+    doc = run_json(capsys, "simulate", "--alphabet", f"H:{p},T:{1 - p}", "--patterns", "T," + "H" * 17, "--games", "10")
+    z = {row["pattern"]: row["z"] for row in doc["results"]["win"]}
+    assert z == {"T": "0.0000", "H" * 17: "-0.0000"}
+
+
 def test_best_response_examples(capsys):
     doc = run_json(
         capsys, "best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH",
@@ -371,12 +378,17 @@ def test_duel_series_needs_no_rational_function_elimination(capsys, monkeypatch)
     calls = record_solves(monkeypatch)
     matrices, build = [], pgf.build_duel_matrix
     monkeypatch.setattr(pgf, "build_duel_matrix", lambda ps: matrices.append(ps) or build(ps))
+    builds, limits, init, limit = [], [], RationalFunction.__init__, RationalFunction.limit_at_one
+    monkeypatch.setattr(RationalFunction, "__init__", lambda self, *args: builds.append(args) or init(self, *args))
+    monkeypatch.setattr(RationalFunction, "limit_at_one", lambda self: limits.append(self) or limit(self))
     doc = run_json(
         capsys, "duel", "--alphabet", "A:1/2,B:1/3,C:1/6", "--patterns", "ABA,CAB,BBC", "--method", "both", "--n", "40"
     )
     assert len(doc["results"]["coefficients"]) == 41
     assert calls and all(not isinstance(v, RationalFunction) for _, matrix, _ in calls for row in matrix for v in row)
     assert matrices == []  # no race matrix of rational functions is built at all
+    assert len(builds) == 1  # D alone: the series needs no win generating function
+    assert limits == []  # the z = 1 check runs on the solved polynomials
 
 
 @pytest.mark.parametrize("alphabet", ["H:1/101,T:100/101", "A:1/7,B:2/11,C:52/77"])
@@ -439,6 +451,10 @@ def test_duel_std_and_skewness_are_exact(capsys):
     variance, std = F(dur["variance"]["exact"]), F(dur["std"])
     assert (std - F(1, 20000)) ** 2 <= variance <= (std + F(1, 20000)) ** 2
     assert dur["skewness"] == "2.0000"
+    alphabet = parse_alphabet(f"H:{p},T:{1 - p}")
+    sol = pgf.solve_duel(PatternSet(alphabet, tuple(Pattern.parse(t, alphabet) for t in ("HHHHHHHHH", "THHHHHHHH"))))
+    assert abs(F(sol.std) / std - 1) < F(1, 10**15)  # the float std keeps its leading bits too
+    assert f"{sol.skewness:.4f}" == "2.0000"
     dur = duration(f"H:{p},T:{1 - p}", "HHHHHHHHH,THHHHHHHH", "--digits", "0")
     assert "." not in dur["std"] and dur["skewness"] == "2"
     # negative skewness keeps its sign; here it is exactly -8/3
@@ -497,8 +513,9 @@ def test_benchmark_tracer_leaves_output_unchanged(capsys, monkeypatch):
     assert traced == untraced
     _, _, calls = tracer.self_times()
     for span in ("cli.argparse", "cli.render", "patterns.parse", "patterns.set_build", "pgf.solve_duel",
-                 "pgf.first_passage", "pgf.moments", "algebra.gcd", "algebra.limit",
+                 "pgf.first_passage", "pgf.moments", "algebra.gcd",
                  "algebra.series", "algebra.solve", "equilibrium.solve", "oracle.simulate", "oracle.automaton"):
         assert calls[span] > 0, span
     assert calls["algebra.derivative"] == 0  # moments come from integer solves with N(1)
+    assert calls["algebra.limit"] == 0  # x and D are checked at z = 1 on the solved polynomials
     assert calls["pgf.matrix"] == 0  # x and D come from the integer table, not from the race matrix

@@ -235,6 +235,15 @@ def test_solve_duel_long_pair():
     assert round(sol.std, 1) == 122.0
 
 
+def test_std_and_skewness_below_the_float_range():
+    p = F(1, 10**400)  # T opens the game with probability p, else the race ends at trial 2
+    sol = solve_duel(pset("HH", "T", alphabet=Alphabet.coin(1 - p)))
+    assert sol.variance == p * (1 - p)
+    assert abs(F(sol.std) ** 2 / sol.variance - 1) < F(1, 10**15)
+    # the duration is 2 - Bernoulli(p), so its skewness is -(1 - 2p) / sqrt(p (1 - p)), about -10^200
+    assert sol.skewness < 0 and abs(F(sol.skewness) ** 2 * p * (1 - p) / (1 - 2 * p) ** 2 - 1) < F(1, 10**15)
+
+
 def test_solve_duel_single_trial_race():
     for p in (F(1, 2), F(2, 7)):
         alphabet = Alphabet.coin(p)
@@ -258,9 +267,14 @@ def test_solve_duel_degenerate_single_pattern():
     assert sol.mean == 6
 
 
-def test_duration_is_sum_of_win_generating_functions():
+def test_duration_is_sum_of_win_generating_functions(monkeypatch):
+    solves, solve = [], pgf.solve_polynomial_system
+    monkeypatch.setattr(pgf, "solve_polynomial_system", lambda matrix, rhs: solves.append(rhs) or solve(matrix, rhs))
     sol = solve_duel(pset("HH", "TH"))
-    assert sol.duration == sol.x[0] + sol.x[1]
+    duration = sol.duration
+    assert "x" not in vars(sol)  # x is built only when read
+    assert duration == sol.x[0] + sol.x[1]
+    assert "x" in vars(sol) and len(solves) == 1  # and from the same solve
 
 
 def test_residual_identity_holds_exactly():
@@ -355,7 +369,7 @@ def test_moments_share_one_derivative_chain(monkeypatch):
 
     sol.mean, sol.variance, sol.std, sol.skewness, sol.third_central_moment
     assert len(calls) == 0  # moments come from integer solves with N(1)
-    assert "_generating_functions" not in vars(sol)  # and need no duration PGF
+    assert "_polynomials" not in vars(sol)  # and need no duration PGF
 
 
 def test_first_passage_solution_matches_chain_solver():
@@ -497,7 +511,7 @@ def test_race_answers_build_no_rational_function(monkeypatch):
     sol = solve_duel(pset("TTTHTTT", "TTHTTTTHT", "HTHH"))
     sol.win_probs, sol.mean, sol.variance, sol.third_central_moment
     assert builds == []
-    assert "_generating_functions" not in vars(sol)
+    assert "_polynomials" not in vars(sol)
 
 
 def test_x_that_disagrees_with_the_win_probabilities_is_refused(monkeypatch):
@@ -511,3 +525,5 @@ def test_x_that_disagrees_with_the_win_probabilities_is_refused(monkeypatch):
     monkeypatch.setattr(pgf, "solve_polynomial_system", reversed_y)
     with pytest.raises(ArithmeticError, match="disagree"):
         sol.x
+    with pytest.raises(ArithmeticError, match="disagree"):  # D is unchanged by the reversal, but guarded too
+        solve_duel(pset("HH", "TH")).duration
