@@ -7,13 +7,13 @@ canonical form: the polynomial gcd of numerator and denominator is removed
 and the denominator is made monic, so structural equality is mathematical
 equality.
 
-No floating point is used anywhere in this module.  Power-series prefixes,
-about z = 0 or about z = 1, are extracted from rational functions through
-the linear recurrence imposed by the denominator.  About z = 0 that
-recurrence runs over ints: with the denominator scaled to den(0) = 1 and a
-scale s for which every den_j s^j and num_i s^i (i, j >= 1) is an integer,
-t s^k c_k is an integer for t the denominator of num(0), and the terms
-need no division.
+No floating point is used anywhere in this module.  Power-series prefixes
+are extracted from rational functions through the linear recurrence
+imposed by the denominator, and one integer recurrence (_series) serves
+expansions about z = 0 and, on the Taylor shifts of num and den, about
+z = 1: with the denominator scaled to den(0) = 1 and a scale s for which
+every den_j s^j and num_i s^i (i, j >= 1) is an integer, t s^k c_k is an
+integer for t the denominator of num(0), and the terms need no division.
 
 Linear systems are solved by elimination: over a field (Fraction or
 RationalFunction entries) by Gaussian elimination, and over the integers,
@@ -328,37 +328,8 @@ class RationalFunction:
         return self.num(x) / d
 
     def series(self, n: int) -> SeriesPrefix:
-        """First n + 1 Maclaurin coefficients; the denominator must not vanish at 0.
-
-        With num / den scaled to den(0) = 1, s from _series_scale and t the
-        denominator of num(0), a_k = t s^k c_k obeys
-        a_k = t s^k num_k - sum_j (den_j s^j) a_(k-j) over ints.
-        """
-        if n < 0:
-            raise ValueError("series length must be >= 0")
-        den0 = self.den.coeffs[0]
-        if den0 == 0:
-            raise ExpansionError("not a power series: denominator has zero constant term")
-        num = [c / den0 for c in self.num.coeffs]
-        den = [c / den0 for c in self.den.coeffs]
-        s = _series_scale(num, den)
-        t = num[0].denominator if num else 1
-        drive = [c.numerator * (t * s**i // c.denominator) for i, c in enumerate(num[:n + 1])]
-        feedback = [(j, c.numerator * (s**j // c.denominator)) for j, c in enumerate(den) if j and c]
-        a: list[int] = []
-        for k in range(n + 1):
-            acc = drive[k] if k < len(drive) else 0
-            for j, e in feedback:
-                if j > k:
-                    break
-                acc -= e * a[k - j]
-            a.append(acc)
-        out = []
-        scale = t
-        for ak in a:
-            out.append(Fraction(ak, scale))
-            scale *= s
-        return tuple(out)
+        """First n + 1 Maclaurin coefficients; the denominator must not vanish at 0."""
+        return _series(self.num.coeffs, self.den.coeffs, n, "not a power series: denominator has zero constant term")
 
     def expansion_at_one(self, n: int) -> SeriesPrefix:
         """Taylor coefficients d_0 .. d_n of f(1 + w), so d_k = f^(k)(1) / k!.
@@ -367,7 +338,7 @@ class RationalFunction:
         (z - 1) factor, so den(1) = 0 is a pole.
         """
         num, den = _taylor_at_one(self.num.coeffs, n), _taylor_at_one(self.den.coeffs, n)
-        return _series_prefix(num, den, n, "pole at z = 1: limit does not exist")
+        return _series(num, den, n, "pole at z = 1: limit does not exist")
 
     def derivative(self) -> RationalFunction:
         """Exact quotient-rule derivative, canonicalized."""
@@ -416,21 +387,37 @@ def _series_scale(*sequences: Sequence[Fraction]) -> int:
     return rest * prod(p**e for p, e in exponents.items())
 
 
-def _series_prefix(num: Sequence[Fraction], den: Sequence[Fraction], n: int, no_series: str) -> SeriesPrefix:
-    """c_0 .. c_n of num / den, solving sum_j den_j c_(i-j) = num_i forward for c_i.
+def _series(num: Sequence[Fraction], den: Sequence[Fraction], n: int, no_series: str) -> SeriesPrefix:
+    """c_0 .. c_n of num / den over ints; ExpansionError(no_series) when den[0] is 0.
 
-    Raises ExpansionError(no_series) when den[0] is 0.
+    With num / den scaled to den(0) = 1, s from _series_scale and t the
+    denominator of num(0), a_k = t s^k c_k obeys
+    a_k = t s^k num_k - sum_j (den_j s^j) a_(k-j) over ints.
     """
     if n < 0:
         raise ValueError("series length must be >= 0")
-    if not den or den[0] == 0:
+    den0 = den[0]
+    if den0 == 0:
         raise ExpansionError(no_series)
-    out: list[Fraction] = []
-    for i in range(n + 1):
-        acc = num[i] if i < len(num) else _ZERO
-        for j in range(1, min(i, len(den) - 1) + 1):
-            acc -= den[j] * out[i - j]
-        out.append(acc / den[0])
+    num = [c / den0 for c in num]
+    den = [c / den0 for c in den]
+    s = _series_scale(num, den)
+    t = num[0].denominator if num else 1
+    drive = [c.numerator * (t * s**i // c.denominator) for i, c in enumerate(num[:n + 1])]
+    feedback = [(j, c.numerator * (s**j // c.denominator)) for j, c in enumerate(den) if j and c]
+    a: list[int] = []
+    for k in range(n + 1):
+        acc = drive[k] if k < len(drive) else 0
+        for j, e in feedback:
+            if j > k:
+                break
+            acc -= e * a[k - j]
+        a.append(acc)
+    out = []
+    scale = t
+    for ak in a:
+        out.append(Fraction(ak, scale))
+        scale *= s
     return tuple(out)
 
 

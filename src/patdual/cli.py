@@ -45,9 +45,9 @@ class CrossCheckError(ArithmeticError):
 # simulate refuses a request when max(games, chunk size) * mean duration exceeds this:
 # oracle.simulate steps once per trial of a chunk's longest game, for all its games
 SIMULATION_BUDGET = 2**30
-# a series request is refused when its exact coefficients could print more digits than this:
+# a series request is refused when its coefficients could print more digits than this: exact
 # coefficient k is (integer) / q^k, q the lcm of the symbol denominators, so its numerator and
-# denominator take at most k log10(q) + 1 digits each
+# denominator take at most k log10(q) + 1 digits each, and its decimal takes digits + 1
 SERIES_DIGITS_BUDGET = 2**25
 # best-response refuses a request with more candidates, |alphabet|^length, than this
 CANDIDATES_BUDGET = 2**16
@@ -109,14 +109,15 @@ def _series_rows(coeffs, digits: int) -> list[dict]:
     return [{"n": i, **_exact_decimal(c, digits)} for i, c in enumerate(coeffs)]
 
 
-def _check_series_budget(alphabet: Alphabet, n: int) -> None:
+def _check_series_budget(alphabet: Alphabet, n: int, digits: int) -> None:
     """ValueError (exit 3) when n + 1 coefficients could print more than SERIES_DIGITS_BUDGET digits."""
     q = math.lcm(*(p.denominator for p in alphabet.probs))
-    digits = (n + 1) * (n * math.log10(q) + 2)  # sum over k = 0..n of 2 (k log10(q) + 1)
-    if digits > SERIES_DIGITS_BUDGET:
+    # sum over k = 0..n of 2 (k log10(q) + 1) for the exact column, and (digits + 1) each for the decimal
+    printed = (n + 1) * (n * math.log10(q) + 2 + digits + 1)
+    if printed > SERIES_DIGITS_BUDGET:
         raise ValueError(
             f"series over budget: {n + 1} coefficients over denominators up to {q}^{n} "
-            f"could print {digits:.3g} digits, more than {SERIES_DIGITS_BUDGET}"
+            f"could print {printed:.3g} digits, more than {SERIES_DIGITS_BUDGET}"
         )
 
 
@@ -162,7 +163,7 @@ def cmd_first_passage(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict
     pattern = patterns[0]
     sol, pgf = DuelSolution(PatternSet(alphabet, (pattern,))), first_passage_pgf(pattern)
     n = args.n if args.n is not None else 4 * math.ceil(sol.mean)
-    _check_series_budget(alphabet, n)
+    _check_series_budget(alphabet, n, args.digits)
     return {
         "pattern": pattern.text,
         "pgf": _rf_json(pgf),
@@ -177,7 +178,7 @@ def cmd_duel(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
         raise PatternSetError("duel requires at least two patterns")
     ps = PatternSet(alphabet, tuple(patterns))
     if args.n is not None:
-        _check_series_budget(alphabet, args.n)
+        _check_series_budget(alphabet, args.n, args.digits)
     results: dict = {"method": args.method}
 
     if args.method != "equilibrium":
@@ -439,15 +440,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "duel" and args.method == "equilibrium" and args.n is not None:
         parser.error("duel: --n needs --method pgf or both; the stationary-rate route gives no series")
     out = sys.stdout
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact values parse and print in full, however many digits they have
     try:
         alphabet = parse_alphabet(args.alphabet)
         patterns = parse_patterns_option(args.patterns, alphabet)
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)  # exact results print in full, however many digits they have
-        try:
-            results = _COMMANDS[args.command](args, alphabet, patterns)
-        finally:
-            sys.set_int_max_str_digits(limit)
+        results = _COMMANDS[args.command](args, alphabet, patterns)
+        probs = [str(p) for p in alphabet.probs]
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -460,12 +459,12 @@ def main(argv: list[str] | None = None) -> int:
     except (SingularMatrixError, CrossCheckError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        sys.set_int_max_str_digits(limit)
 
     doc = {
         "command": args.command,
-        "alphabet": [
-            {"symbol": s, "prob": str(p)} for s, p in zip(alphabet.symbols, alphabet.probs)
-        ],
+        "alphabet": [{"symbol": s, "prob": p} for s, p in zip(alphabet.symbols, probs)],
         "patterns": [p.text for p in patterns],
         "results": results,
     }

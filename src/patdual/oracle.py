@@ -5,7 +5,8 @@ automaton (an absorbing-Markov-chain solver for the wins and moments and an
 occupancy DP for the duration law, in exact integer and Fraction
 arithmetic, so comparisons with the analytic engines are equalities, not
 tolerances), and a seeded Monte Carlo simulator for statistical sanity
-checks.
+checks.  The automaton's transient states are exactly the proper prefixes
+of the patterns, each reachable by reading it (see build_automaton).
 
 The simulator draws from numpy's PCG64 generator.  Games are processed in
 fixed chunks of 2**16; chunk c uses the stream seeded by
@@ -77,47 +78,28 @@ class SuffixAutomaton:
 
 
 def build_automaton(ps: PatternSet) -> SuffixAutomaton:
-    """Breadth-first construction over the reachable proper pattern prefixes."""
-    alphabet = ps.alphabet
+    """The automaton whose transient states are the proper pattern prefixes, in sorted order.
+
+    Every proper prefix u is reachable from the empty history by reading u
+    itself: no pattern is a substring of another, so none completes on the
+    way, and each prefix of u is its own longest suffix among the states.
+    Sorting keeps the empty history as state 0.
+    """
     pattern_syms = [p.symbols for p in ps.patterns]
-    prefixes = {p[:i] for p in pattern_syms for i in range(len(p))}
-
-    def longest_prefix_suffix(u: tuple[int, ...]) -> tuple[int, ...]:
-        for L in range(len(u), -1, -1):
-            suf = u[len(u) - L:]
-            if suf in prefixes:
-                return suf
-        raise AssertionError("empty suffix is always a prefix")
-
-    states: list[tuple[int, ...]] = [()]
-    index: dict[tuple[int, ...], int] = {(): 0}
-    # Transition targets are resolved to ints after all states are known;
-    # absorbing targets are stored as ('absorb', j) placeholders meanwhile.
-    pending: list[list] = []
-    head = 0
-    while head < len(states):
-        t = states[head]
-        head += 1
-        row: list = []
-        for c in range(len(alphabet)):
-            u = t + (c,)
-            winner = next((j for j, p in enumerate(pattern_syms) if u[len(u) - len(p):] == p), None)
-            if winner is not None:
-                row.append(("absorb", winner))
-                continue
-            nxt = longest_prefix_suffix(u)
-            if nxt not in index:
-                index[nxt] = len(states)
-                states.append(nxt)
-            row.append(index[nxt])
-        pending.append(row)
-
+    states = sorted({p[:i] for p in pattern_syms for i in range(len(p))})
+    index = {t: i for i, t in enumerate(states)}
     n = len(states)
-    rows = [
-        tuple(n + cell[1] if isinstance(cell, tuple) else cell for cell in row)
-        for row in pending
-    ]
-    return SuffixAutomaton(ps, tuple(states), tuple(rows))
+
+    def successor(u: tuple[int, ...]) -> int:
+        for j, p in enumerate(pattern_syms):
+            if u[len(u) - len(p):] == p:
+                return n + j
+        while u not in index:  # the empty suffix is always a state
+            u = u[1:]
+        return index[u]
+
+    rows = tuple(tuple(successor(t + (c,)) for c in range(len(ps.alphabet))) for t in states)
+    return SuffixAutomaton(ps, tuple(states), rows)
 
 
 class OracleStats(NamedTuple):

@@ -12,7 +12,7 @@ import pytest
 from patdual import cli, equilibrium, oracle, pgf
 from patdual.algebra import ExpansionError, RationalFunction, SingularMatrixError
 from patdual.cli import decimal_str, main, percent_str, sqrt_str
-from patdual.patterns import Pattern, PatternSet, parse_alphabet
+from patdual.patterns import Alphabet, Pattern, PatternSet, parse_alphabet
 DATA = Path(__file__).parent / "data"
 
 
@@ -335,6 +335,8 @@ def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch)
         # default --n = 4 * ceil(mean) = 37,320 coefficients over denominators up to 6^37320
         ["first-passage", "--alphabet", "A:1/2,B:1/3,C:1/6", "--patterns", "CCCCC"],
         ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TT", "--n", "100000000"],
+        # 1.2M exact digits, but 34M in the decimal column
+        ["first-passage", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH", "--n", "2000", "--digits", "17000"],
         ["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HHT", "--length", "22"],
         ["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HHT", "--length", str(10**9)],
     ):
@@ -353,7 +355,7 @@ def test_benchmark_decks_are_ten_times_under_the_work_budgets(monkeypatch):
             flags = dict(zip(argv[1::2], argv[2::2]))
             alphabet = parse_alphabet(flags["--alphabet"])
             if "--n" in flags:
-                cli._check_series_budget(alphabet, int(flags["--n"]))
+                cli._check_series_budget(alphabet, int(flags["--n"]), int(flags.get("--digits", 4)))
             if "--length" in flags:
                 cli._check_candidates_budget(alphabet, int(flags["--length"]))
             if argv[0] == "simulate":
@@ -437,6 +439,31 @@ def test_exact_values_of_any_size(capsys):
     sys.set_int_max_str_digits(0)
     try:
         assert F(last) == p * (1 - p) ** 799
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_fraction_literals_of_any_size(capsys):
+    limit = sys.get_int_max_str_digits()
+    big = 10**4400  # 4,401 digits, past the interpreter's default limit of 4,300
+    sys.set_int_max_str_digits(0)
+    try:
+        alphabet = f"H:1/{big},T:{big - 1}/{big}"
+        bad = f"H:1/{big},T:1/{big}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+    doc = run_json(capsys, "duel", "--alphabet", alphabet, "--patterns", "HH,TH")
+    assert sys.get_int_max_str_digits() == limit
+    code, _, err = run(capsys, "duel", "--alphabet", bad, "--patterns", "HH,TH")
+    assert code == 2 and "invalid alphabet" in err  # probabilities that do not sum to 1
+    assert sys.get_int_max_str_digits() == limit
+
+    coin = Alphabet.coin(F(1, big))
+    win_probs = pgf.solve_duel(PatternSet(coin, tuple(Pattern.parse(t, coin) for t in ("HH", "TH")))).win_probs
+    sys.set_int_max_str_digits(0)
+    try:
+        assert tuple(F(row["exact"]) for row in doc["results"]["win"]) == win_probs
     finally:
         sys.set_int_max_str_digits(limit)
 

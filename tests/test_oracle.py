@@ -20,6 +20,7 @@ from patdual.oracle import (
     simulate,
 )
 from patdual.patterns import Alphabet, Pattern, PatternSet, PatternSetError
+from test_pgf import races
 
 COIN = Alphabet.coin(F(1, 2))
 BIASED = Alphabet.coin(F(1, 3))
@@ -68,6 +69,17 @@ def test_automaton_state_bound():
     for ps in (pset("HH", "TH"), pset("TTTHTTT", "TTHTTTTHT"), pset("HHHH", "TTTT")):
         auto = build_automaton(ps)
         assert auto.n_transient <= sum(len(p) for p in ps.patterns) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(races(patterns=(1, 4), max_length=5))
+def test_automaton_states_are_the_proper_prefixes(ps):
+    auto = build_automaton(ps)
+    prefixes = {p.symbols[:i] for p in ps.patterns for i in range(len(p.symbols))}
+    assert set(auto.transient) == prefixes
+    assert auto.transient[0] == ()
+    for u in prefixes:  # each prefix is reached by reading it
+        assert auto.state_of(u) == auto.transient.index(u)
 
 
 def test_state_of_rejects_completed_history():
