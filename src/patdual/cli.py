@@ -9,16 +9,22 @@ Exit codes: 0 success, 2 parse/usage errors, 3 precondition violations
 (invalid pattern sets, requests over a work budget and the like), 4 internal
 failures (singular systems, cross-check disagreement, and an ExpansionError,
 which no valid race can cause).
+
+The argparse tree is built once, when this module is imported, and every
+`main` call parses with it; `main` touches no interpreter-wide state, so it
+may run in several threads at once.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import itertools
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .algebra import ExpansionError, RationalFunction, SingularMatrixError
@@ -31,6 +37,7 @@ from .patterns import (
     PatternSet,
     PatternSetError,
     _contains,
+    exact_str,
     parse_alphabet,
 )
 from .pgf import DuelSolution, first_passage_pgf, solve_duel
@@ -58,10 +65,10 @@ CHECKED_TERMS = 100
 def _fixed_point(scaled: int, digits: int, negative: bool) -> str:
     """Render the integer scaled = |x| * 10**digits with `digits` decimals."""
     sign = "-" if negative else ""
-    whole, frac = divmod(scaled, 10**digits)
+    text = exact_str(scaled).rjust(digits + 1, "0")
     if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{digits}d}"
+        return sign + text
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
 def decimal_str(x: Fraction, digits: int) -> str:
@@ -94,7 +101,7 @@ def percent_str(x: Fraction, digits: int) -> str:
 
 
 def _exact_decimal(x: Fraction, digits: int) -> dict:
-    return {"exact": str(x), "decimal": decimal_str(x, digits)}
+    return {"exact": exact_str(x), "decimal": decimal_str(x, digits)}
 
 
 def _win_rows(pairs, digits: int) -> list[dict]:
@@ -112,12 +119,16 @@ def _series_rows(coeffs, digits: int) -> list[dict]:
 def _check_series_budget(alphabet: Alphabet, n: int, digits: int) -> None:
     """ValueError (exit 3) when n + 1 coefficients could print more than SERIES_DIGITS_BUDGET digits."""
     q = math.lcm(*(p.denominator for p in alphabet.probs))
-    # sum over k = 0..n of 2 (k log10(q) + 1) for the exact column, and (digits + 1) each for the decimal
-    printed = (n + 1) * (n * math.log10(q) + 2 + digits + 1)
+    # every coefficient prints at least digits + 3 characters: this exact test refuses a huge n or
+    # digits before any float is formed, and past it n < 2**25 and log10 takes a q of any size
+    printed = (n + 1) * (digits + 3)
+    if printed <= SERIES_DIGITS_BUDGET:
+        # sum over k = 0..n of 2 (k log10(q) + 1) for the exact column, and (digits + 1) each for the decimal
+        printed = (n + 1) * (n * math.log10(q) + 2 + digits + 1)
     if printed > SERIES_DIGITS_BUDGET:
         raise ValueError(
-            f"series over budget: {n + 1} coefficients over denominators up to {q}^{n} "
-            f"could print {printed:.3g} digits, more than {SERIES_DIGITS_BUDGET}"
+            f"series over budget: {exact_str(n + 1)} coefficients over denominators up to {exact_str(q)}^"
+            f"{exact_str(n)} could print {Decimal(printed):.3g} digits, more than {SERIES_DIGITS_BUDGET}"
         )
 
 
@@ -152,8 +163,8 @@ def parse_patterns_option(values: list[str], alphabet: Alphabet) -> list[Pattern
 
 def _rf_json(rf: RationalFunction) -> dict:
     return {
-        "numerator": [str(c) for c in rf.num.coeffs],
-        "denominator": [str(c) for c in rf.den.coeffs],
+        "numerator": [exact_str(c) for c in rf.num.coeffs],
+        "denominator": [exact_str(c) for c in rf.den.coeffs],
     }
 
 
@@ -197,7 +208,7 @@ def cmd_duel(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
             results["coefficients"] = _series_rows(series, args.digits)
     if args.method != "pgf":
         eq = solve_equilibrium(ps)
-        rates = [str(yi) for yi in eq.y]
+        rates = [exact_str(yi) for yi in eq.y]
         win = _win_rows(zip(ps.patterns, eq.win_probs), args.digits)
         mean = _exact_decimal(eq.expected_duration, args.digits)
         if args.method == "equilibrium":
@@ -237,7 +248,7 @@ def cmd_simulate(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
         rows.append(
             {
                 "pattern": p.text,
-                "exact": str(exact),
+                "exact": exact_str(exact),
                 "exact_decimal": decimal_str(exact, args.digits),
                 "empirical": decimal_str(emp, args.digits),
                 "z": f"{-z if emp < exact else z:.{args.digits}f}",
@@ -388,7 +399,7 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="patdual",
         description="Exact win probabilities and durations for pattern races.",
@@ -403,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             help="comma-separated patterns; repeat the flag for multi-character-label alphabets",
         )
-        p.add_argument("--digits", type=_int_in(0), default=4, help="decimal digits in renderings")
+        p.add_argument("--digits", type=_int_in(0, 2**16), default=4, help="decimal digits in renderings")
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     p = sub.add_parser("first-passage", help="distribution of trials until one pattern appears")
@@ -427,6 +438,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A handle on the argparse tree that this module builds once, at import.
+
+    The handle is a shallow copy: attributes set on it, such as a wrapped
+    `parse_args`, leave the shared tree alone, but it shares the tree's
+    actions and subparsers, so callers must not add arguments to it.
+    """
+    return copy.copy(_PARSER)
+
+
 _COMMANDS = {
     "first-passage": cmd_first_passage,
     "duel": cmd_duel,
@@ -440,13 +464,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "duel" and args.method == "equilibrium" and args.n is not None:
         parser.error("duel: --n needs --method pgf or both; the stationary-rate route gives no series")
     out = sys.stdout
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # exact values parse and print in full, however many digits they have
     try:
         alphabet = parse_alphabet(args.alphabet)
         patterns = parse_patterns_option(args.patterns, alphabet)
         results = _COMMANDS[args.command](args, alphabet, patterns)
-        probs = [str(p) for p in alphabet.probs]
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -459,12 +480,10 @@ def main(argv: list[str] | None = None) -> int:
     except (SingularMatrixError, CrossCheckError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    finally:
-        sys.set_int_max_str_digits(limit)
 
     doc = {
         "command": args.command,
-        "alphabet": [{"symbol": s, "prob": p} for s, p in zip(alphabet.symbols, probs)],
+        "alphabet": [{"symbol": s, "prob": exact_str(p)} for s, p in zip(alphabet.symbols, alphabet.probs)],
         "patterns": [p.text for p in patterns],
         "results": results,
     }

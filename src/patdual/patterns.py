@@ -9,7 +9,9 @@ function and linear system in the rest of the package.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,6 +22,8 @@ __all__ = [
     "PatternSet",
     "PatternSetError",
     "correlation_set",
+    "exact_int",
+    "exact_str",
     "max_overlap",
     "overlap_string",
     "parse_alphabet",
@@ -27,6 +31,26 @@ __all__ = [
 ]
 
 SymbolSeq = tuple[int, ...]
+
+
+def exact_str(x: int | Fraction) -> str:
+    """str(x) for an int or a Fraction of any size, whatever the interpreter's int-to-text digit limit.
+
+    An int that could have more digits than the limit goes through `decimal.Decimal`, which converts
+    exactly and ignores the limit; any other value takes plain `str`.
+    """
+    if isinstance(x, Fraction):
+        num, den = x.numerator, x.denominator
+        return exact_str(num) if den == 1 else f"{exact_str(num)}/{exact_str(den)}"
+    limit = sys.get_int_max_str_digits()
+    # |x| < 2**(3 limit) < 10**limit has at most `limit` digits
+    return str(x) if not limit or x.bit_length() <= 3 * limit else str(Decimal(x))
+
+
+def exact_int(text: str) -> int:
+    """int(text) for a literal of decimal digits of any length, whatever the interpreter's digit limit."""
+    limit = sys.get_int_max_str_digits()
+    return int(text) if not limit or len(text) <= limit else int(Decimal(text))
 
 
 class ParseError(ValueError):
@@ -63,9 +87,9 @@ class Alphabet:
             raise ValueError("alphabet labels must be nonempty")
         for label, p in zip(self.symbols, self.probs):
             if not (0 < p < 1):
-                raise ValueError(f"probability of '{label}' must be strictly between 0 and 1, got {p}")
-        if sum(self.probs) != 1:
-            raise ValueError(f"probabilities must sum exactly to 1, got {sum(self.probs)}")
+                raise ValueError(f"probability of '{label}' must be strictly between 0 and 1, got {exact_str(p)}")
+        if (total := sum(self.probs)) != 1:
+            raise ValueError(f"probabilities must sum exactly to 1, got {exact_str(total)}")
 
     @classmethod
     def coin(cls, p: Fraction) -> Alphabet:
@@ -251,10 +275,10 @@ def parse_fraction(text: str, position: int = 0) -> Fraction:
     """Parse an exact fraction literal like 1/2; decimals are rejected."""
     if not _FRACTION_RE.match(text):
         raise ParseError(f"expected a fraction literal like 1/2, got {text!r}", position)
-    num, den = text.split("/")
-    if int(den) == 0:
+    num, den = map(exact_int, text.split("/"))
+    if den == 0:
         raise ParseError(f"zero denominator in {text!r}", position)
-    return Fraction(int(num), int(den))
+    return Fraction(num, den)
 
 
 def parse_alphabet(text: str) -> Alphabet:

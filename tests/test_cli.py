@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -339,6 +340,9 @@ def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch)
         ["first-passage", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH", "--n", "2000", "--digits", "17000"],
         ["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HHT", "--length", "22"],
         ["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HHT", "--length", str(10**9)],
+        # default --n = 4 * ceil(mean), about 4 * 10^400: past the float range
+        ["first-passage", "--alphabet", f"H:1/{10**200},T:{10**200 - 1}/{10**200}", "--patterns", "HH"],
+        ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--n", str(10**400)],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 3 and "budget" in err, argv
@@ -468,6 +472,43 @@ def test_fraction_literals_of_any_size(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+def test_main_leaves_the_int_digit_limit_alone(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(sys, "set_int_max_str_digits", lambda *args: calls.append(args))
+    limit = sys.get_int_max_str_digits()
+    big = "1" + "0" * 4400  # 10^4400, past the interpreter's default limit of 4,300 digits
+    doc = run_json(capsys, "first-passage", "--alphabet", "H:1/1000000,T:999999/1000000", "--patterns", "H", "--n", "800")
+    assert len(doc["results"]["coefficients"][-1]["exact"]) > limit
+    doc = run_json(capsys, "duel", "--alphabet", f"H:1/{big},T:{'9' * 4400}/{big}", "--patterns", "HH,TH")
+    assert doc["alphabet"][0]["prob"] == f"1/{big}"
+    doc = run_json(capsys, "duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--digits", "5000")
+    assert doc["results"]["win"][0]["decimal"] == "0.25" + "0" * 4998
+    assert calls == []
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    inits = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **kw: inits.append(a) or init(self, *a, **kw))
+    assert run_json(capsys, "duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH")["patterns"] == ["HH", "TH"]
+    with pytest.raises(SystemExit) as exc:
+        main(["duel", "--patterns", "HH,TH"])
+    assert exc.value.code == 2
+    # --patterns appends: the second request must not see the first one's patterns
+    assert run_json(capsys, "duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HHT,THH")["patterns"] == ["HHT", "THH"]
+    assert inits == []
+
+
+def test_patching_a_parser_handle_leaves_the_next_request_alone(capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a patched handle was used")
+
+    handle = cli.build_parser()
+    handle.parse_args = refuse
+    assert cli.build_parser() is not handle
+    assert run_json(capsys, "duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH")["patterns"] == ["HH", "TH"]
+
+
 def test_duel_std_and_skewness_are_exact(capsys):
     def duration(alphabet, patterns, *flags):
         return run_json(capsys, "duel", "--alphabet", alphabet, "--patterns", patterns, *flags)["results"]["duration"]
@@ -498,6 +539,8 @@ def test_duel_std_and_skewness_are_exact(capsys):
         ["simulate", "--patterns", "HH,TH", "--games", "10", "--seed", str(2**64)],
         ["duel", "--patterns", "HH,TH", "--digits", "-1"],
         ["duel", "--patterns", "HH,TH", "--method", "equilibrium", "--n", "5"],
+        ["duel", "--patterns", "HH,TH", "--digits", "1000000"],
+        ["duel", "--patterns", "HH,TH", "--digits", str(10**400)],
     ],
 )
 def test_bad_flag_values_exit_2(argv):
