@@ -15,17 +15,18 @@ z = 1: with the denominator scaled to den(0) = 1 and a scale s for which
 every den_j s^j and num_i s^i (i, j >= 1) is an integer, t s^k c_k is an
 integer for t the denominator of num(0), and the terms need no division.
 
-Linear systems are solved by elimination: over a field (Fraction or
-RationalFunction entries) by Gaussian elimination, and over the integers,
-and over Z[z] for polynomial systems, by Bareiss's fraction-free
-elimination (Math. Comp. 22, 1968), which takes no gcd at all.
+Linear systems are solved over Q only, and by one elimination: each row is
+scaled to integers, and Bareiss's fraction-free elimination (Math. Comp.
+22, 1968), which takes no gcd at all, solves the integer system.  Systems
+over Z[z] (solve_polynomial_system) run the same elimination on each
+polynomial packed into one integer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm, prod
-from typing import Sequence, TypeVar
+from typing import Sequence
 
 __all__ = [
     "ExpansionError",
@@ -58,7 +59,7 @@ class ExpansionError(ValueError):
 
 
 class SingularMatrixError(ArithmeticError):
-    """Raised when Gaussian elimination finds no usable pivot.
+    """Raised when elimination finds no nonzero pivot.
 
     `column` is the first column in which no nonzero pivot exists.
     """
@@ -427,79 +428,40 @@ def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (e // v.denominator) for v in values], e
 
 
-T = TypeVar("T")
+def solve_linear_system(matrix: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]) -> list[Fraction]:
+    """Solve A x = b exactly over Q, by Bareiss elimination over the integers.
 
-
-def solve_linear_system(matrix: Sequence[Sequence[T]], rhs: Sequence[T]) -> list[T]:
-    """Solve A x = b exactly over any field (Fraction or RationalFunction).
-
-    Plain Gaussian elimination with first-nonzero pivoting; the solution is
-    verified against the original system before being returned.  Raises
-    SingularMatrixError naming the first column without a usable pivot.
-    A system whose entries are all ints is solved fraction-free instead
-    (see _bareiss), and its solution comes back as Fractions.
+    Entries must be ints or Fractions; any other entry is a TypeError.  Each
+    row of [A | b] is scaled to integers by the lcm of its denominators,
+    which leaves x unchanged (a system of ints is used as it is), and
+    _bareiss solves the integer system.  Raises SingularMatrixError naming
+    the first column without a nonzero pivot.
     """
     m = len(matrix)
-    if m == 0:
-        return []
-    a = [list(row) for row in matrix]
-    if any(len(row) != m for row in a) or len(rhs) != m:
+    if any(len(row) != m for row in matrix) or len(rhs) != m:
         raise ValueError("matrix must be square and match the rhs length")
-    if all(type(v) is int for v in rhs) and all(type(v) is int for row in a for v in row):
-        y, d = _bareiss(a, rhs)
-        return [Fraction(yi, d) for yi in y]
-    b = list(rhs)
-    zero = a[0][0] - a[0][0]
-
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != zero), None)
-        if pivot is None:
-            raise SingularMatrixError(col)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        # products with zero entries are skipped, so the work follows the nonzeros
-        # alone, wherever they sit (a matrix and its transpose cost about the same)
-        top = [(c, a[col][c]) for c in range(col, m) if a[col][c] != zero]
-        for r in range(col + 1, m):
-            if a[r][col] == zero:
-                continue
-            factor = a[r][col] / a[col][col]
-            for c, v in top:
-                a[r][c] = a[r][c] - factor * v
-            b[r] = b[r] - factor * b[col]
-
-    x: list[T] = [zero] * m
-    for i in range(m - 1, -1, -1):
-        acc = b[i]
-        for j in range(i + 1, m):
-            if a[i][j] != zero:
-                acc = acc - a[i][j] * x[j]
-        x[i] = acc / a[i][i]
-
-    for i in range(m):
-        acc = zero
-        for j in range(m):
-            if matrix[i][j] != zero:
-                acc = acc + matrix[i][j] * x[j]
-        if acc != rhs[i]:
-            raise ArithmeticError("linear solve failed verification")
-    return x
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    if not all(type(v) is int for row in rows for v in row):
+        if not all(isinstance(v, (int, Fraction)) for row in rows for v in row):
+            raise TypeError("solve_linear_system solves over Q (int or Fraction entries); "
+                            "use solve_polynomial_system for polynomial entries")
+        rows = [_common_denominator(row)[0] for row in rows]
+    y, d = _bareiss(rows)
+    return [Fraction(yi, d) for yi in y]
 
 
-def _bareiss(a: list[list[int]], rhs: Sequence[int]) -> tuple[list[int], int]:
-    """Integers y and d != 0 with a y = d rhs, by Bareiss elimination (a is modified in place).
+def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
+    """Integers y and d != 0 with A y = d b, for a the m rows of [A | b], by Bareiss elimination.
 
     Every step divides exactly by the previous pivot, so each entry stays an
     integer minor of the system and no gcd is ever taken.  With d the last
     pivot (the determinant up to sign), back substitution finds the integers
-    y = d x, which are verified against the system.  Pivoting and
-    SingularMatrixError are as in the field case.
+    y = d x, which are verified against the system.  The pivot is the first
+    nonzero entry of its column; SingularMatrixError names the first column
+    that has none.  a is not modified.
     """
     m = len(a)
-    for row, b in zip(a, rhs):
-        row.append(b)
-    original = [row[:] for row in a]
+    original, a = a, [row[:] for row in a]
     previous = 1
     for col in range(m):
         pivot = next((r for r in range(col, m) if a[r][col]), None)
@@ -545,7 +507,7 @@ def solve_polynomial_system(matrix: Sequence[Sequence[Poly]], rhs: Sequence[Poly
         rows.append([[c.numerator * (scale // c.denominator) for c in p] for p in entries])
     bound = prod(max(1, sum(abs(c) for p in row for c in p)) for row in rows)
     k = bound.bit_length() + 1
-    y, d = _bareiss([[_pack(p, k) for p in row[:m]] for row in rows], [_pack(row[m], k) for row in rows])
+    y, d = _bareiss([[_pack(p, k) for p in row] for row in rows])
     y, d = [Poly(_unpack(v, k)) for v in y], Poly(_unpack(d, k))
     for row, b in zip(matrix, rhs):
         if sum((p * yj for p, yj in zip(row, y)), Poly()) != d * b:

@@ -27,7 +27,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from .algebra import ExpansionError, RationalFunction, SingularMatrixError
+from .algebra import ExpansionError, RationalFunction
 from .equilibrium import solve_equilibrium
 from .oracle import _CHUNK, oracle_duration, oracle_win_probs, simulate
 from .patterns import (
@@ -37,6 +37,7 @@ from .patterns import (
     PatternSet,
     PatternSetError,
     _contains,
+    exact_int,
     exact_str,
     parse_alphabet,
 )
@@ -127,8 +128,8 @@ def _check_series_budget(alphabet: Alphabet, n: int, digits: int) -> None:
         printed = (n + 1) * (n * math.log10(q) + 2 + digits + 1)
     if printed > SERIES_DIGITS_BUDGET:
         raise ValueError(
-            f"series over budget: {exact_str(n + 1)} coefficients over denominators up to {exact_str(q)}^"
-            f"{exact_str(n)} could print {Decimal(printed):.3g} digits, more than {SERIES_DIGITS_BUDGET}"
+            f"series over budget: {Decimal(n + 1):.3g} coefficients over denominators up to {Decimal(q):.3g}^"
+            f"{Decimal(n):.3g} could print {Decimal(printed):.3g} digits, more than {SERIES_DIGITS_BUDGET}"
         )
 
 
@@ -388,12 +389,14 @@ def _int_in(low: int, high: int | None = None):
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            # plain digits may run past the interpreter's int-to-text digit limit
+            value = exact_int(text) if text.isascii() and text.isdigit() else int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low or (high is not None and value >= high):
             upper = "" if high is None else f" and < {high}"
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}{upper}, got {value}")
+            got = exact_str(value) if len(text) <= 20 else f"{Decimal(value):.3g}"
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}{upper}, got {got}")
         return value
 
     return parse
@@ -477,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PatternSetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SingularMatrixError, CrossCheckError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # SingularMatrixError and CrossCheckError among them
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import patdual.algebra as algebra
 from patdual.algebra import (
     ExpansionError,
     Poly,
@@ -14,6 +15,7 @@ from patdual.algebra import (
     solve_linear_system,
     solve_polynomial_system,
 )
+from reference import gaussian_solve
 
 RF = RationalFunction
 ONE_MINUS_Z = Poly((1, -1))
@@ -236,7 +238,7 @@ def test_solve_reports_first_singular_column():
 def test_solve_over_rational_function_field():
     one = RF.one()
     z = RF(Z)
-    x = solve_linear_system([[z, one], [one, z]], [one, one])
+    x = gaussian_solve([[z, one], [one, z]], [one, one])
     # by symmetry both components are 1/(z+1)
     assert x[0] == x[1] == RF(Poly.one(), Poly((1, 1)))
 
@@ -248,7 +250,7 @@ def test_solve_integer_systems_fraction_free():
         a = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
         b = [rng.randint(-5, 5) for _ in range(m)]
         try:
-            expected = solve_linear_system([[F(v) for v in row] for row in a], [F(v) for v in b])
+            expected = gaussian_solve([[F(v) for v in row] for row in a], [F(v) for v in b])
         except SingularMatrixError as exc:
             with pytest.raises(SingularMatrixError) as got:
                 solve_linear_system(a, b)
@@ -263,16 +265,44 @@ def test_solve_integer_systems_fraction_free():
 
 def test_solve_random_rational_systems_by_residual():
     rng = random.Random(3)
-    for _ in range(20):
+    singular = set()
+    # after the first 20 systems, numerators in {-1, 0, 1} make singular systems common
+    for top in [4] * 20 + [1] * 40:
         m = rng.randint(1, 4)
-        a = [[F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(m)] for _ in range(m)]
+        a = [[F(rng.randint(-top, top), rng.randint(1, 4)) for _ in range(m)] for _ in range(m)]
         b = [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(m)]
         try:
-            x = solve_linear_system(a, b)
-        except SingularMatrixError:
+            expected = gaussian_solve(a, b)
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError) as got:
+                solve_linear_system(a, b)
+            assert got.value.column == exc.column
+            singular.add(exc.column)
             continue
+        x = solve_linear_system(a, b)
+        assert x == expected
         for i in range(m):
             assert sum(a[i][j] * x[j] for j in range(m)) == b[i]
+    assert singular >= {0, 1, 2}
+
+
+def test_solve_takes_only_rational_entries():
+    for matrix, rhs in (
+        ([[1.0, 0], [0, 1]], [1, 1]),
+        ([[1, 0], [0, 1]], [F(1), 0.5]),
+        ([[RF.one(), RF.zero()], [RF.zero(), RF.one()]], [RF.one(), RF.one()]),
+    ):
+        with pytest.raises(TypeError, match="solve_polynomial_system"):
+            solve_linear_system(matrix, rhs)
+
+
+def test_fraction_systems_take_one_integer_elimination(monkeypatch):
+    calls, bareiss = [], algebra._bareiss
+    monkeypatch.setattr(algebra, "_bareiss", lambda rows: calls.append(rows) or bareiss(rows))
+    assert solve_linear_system([[F(1, 2), F(1, 3)], [F(1, 4), F(-1, 5)]], [F(1), F(2, 7)]) == [F(124, 77), F(45, 77)]
+    assert solve_linear_system([[2, F(1, 3)], [0, 5]], [F(1, 6), 10]) == [F(-1, 4), F(2)]
+    # one call per system: each row of [A | b] scaled by the lcm of its denominators; the row of ints is used as it is
+    assert calls == [[[3, 2, 6], [35, -28, 40]], [[12, 2, 1], [0, 5, 10]]]
 
 
 def test_solve_polynomial_systems_against_rational_function_elimination():
@@ -287,7 +317,7 @@ def test_solve_polynomial_systems_against_rational_function_elimination():
         a = [[poly() for _ in range(m)] for _ in range(m)]
         b = [poly() for _ in range(m)]
         try:
-            expected = solve_linear_system([[RF(p) for p in row] for row in a], [RF(p) for p in b])
+            expected = gaussian_solve([[RF(p) for p in row] for row in a], [RF(p) for p in b])
         except SingularMatrixError as exc:
             with pytest.raises(SingularMatrixError) as got:
                 solve_polynomial_system(a, b)

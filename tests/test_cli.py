@@ -343,9 +343,12 @@ def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch)
         # default --n = 4 * ceil(mean), about 4 * 10^400: past the float range
         ["first-passage", "--alphabet", f"H:1/{10**200},T:{10**200 - 1}/{10**200}", "--patterns", "HH"],
         ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--n", str(10**400)],
+        # past the interpreter's int-to-text digit limit
+        ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--n", "1" * 5000],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 3 and "budget" in err, argv
+        assert len(err.encode()) < 200, argv  # huge q and n are printed in brief
 
 
 def test_benchmark_decks_are_ten_times_under_the_work_budgets(monkeypatch):
@@ -541,12 +544,16 @@ def test_duel_std_and_skewness_are_exact(capsys):
         ["duel", "--patterns", "HH,TH", "--method", "equilibrium", "--n", "5"],
         ["duel", "--patterns", "HH,TH", "--digits", "1000000"],
         ["duel", "--patterns", "HH,TH", "--digits", str(10**400)],
+        ["simulate", "--patterns", "HH,TH", "--games", "10", "--seed", "1" * 5000],
     ],
 )
-def test_bad_flag_values_exit_2(argv):
+def test_bad_flag_values_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--alphabet", "H:1/2,T:1/2"])
     assert exc.value.code == 2
+    # an integer is read as one whatever its length, and a huge one is printed in brief
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert "invalid int value" not in message and len(message) < 200
 
 
 def test_largest_seed_is_accepted(capsys):

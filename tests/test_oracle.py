@@ -11,7 +11,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from patdual.algebra import solve_linear_system
 from patdual.oracle import (
     SimReport,
     build_automaton,
@@ -20,6 +19,7 @@ from patdual.oracle import (
     simulate,
 )
 from patdual.patterns import Alphabet, Pattern, PatternSet, PatternSetError
+from reference import gaussian_solve
 from test_pgf import races
 
 COIN = Alphabet.coin(F(1, 2))
@@ -132,10 +132,10 @@ def test_win_probs_match_per_pattern_absorption_systems():
                     a[s][nxt] -= probs[c]
                 else:
                     reach[s][nxt - n] += probs[c]
-        wins = tuple(solve_linear_system(a, [r[j] for r in reach])[0] for j in range(len(ps)))
-        t = solve_linear_system(a, [F(1)] * n)
+        wins = tuple(gaussian_solve(a, [r[j] for r in reach])[0] for j in range(len(ps)))
+        t = gaussian_solve(a, [F(1)] * n)
         q_t = [sum((probs[c] * t[nxt] for c, nxt in enumerate(row) if nxt < n), F(0)) for row in auto.transitions]
-        second = solve_linear_system(a, [1 + 2 * v for v in q_t])[0]
+        second = gaussian_solve(a, [1 + 2 * v for v in q_t])[0]
         assert oracle_win_probs(ps) == (wins, t[0], second - t[0] ** 2)
 
 

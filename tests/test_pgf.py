@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import patdual.pgf as pgf
-from patdual.algebra import Poly, RationalFunction, SingularMatrixError, solve_linear_system
+from patdual.algebra import Poly, RationalFunction, SingularMatrixError
 from patdual.cli import main
 from patdual.oracle import oracle_duration, oracle_first_passage, oracle_win_probs
 from patdual.patterns import (
@@ -30,6 +30,7 @@ from patdual.pgf import (
     renewal_gf_from_pgf,
     solve_duel,
 )
+from reference import gaussian_solve
 
 RF = RationalFunction
 COIN = Alphabet.coin(F(1, 2))
@@ -419,7 +420,7 @@ def test_race_invariants_and_json_round_trip(ps):
 @settings(max_examples=60, deadline=None)
 @given(races(patterns=(1, 4), max_length=5))
 def test_correlation_route_matches_rational_function_route(ps):
-    x = solve_linear_system(build_duel_matrix(ps), [RF.one()] * len(ps))
+    x = gaussian_solve(build_duel_matrix(ps), [RF.one()] * len(ps))
     d = [sum(c) for c in zip(*(xi.expansion_at_one(3) for xi in x))]  # E[C(T, k)], k = 0..3
     mean, raw_second, raw_third = d[1], 2 * d[2] + d[1], 6 * d[3] + 6 * d[2] + d[1]
     sol = solve_duel(ps)
@@ -490,7 +491,7 @@ def test_integer_route_matches_the_chain_on_awkward_row_scales(ps):
     assert sol.third_central_moment == 6 * d[3] + 6 * d[2] + d[1] - 3 * d[1] * (2 * d[2] + d[1]) + 2 * d[1] ** 3
     assert sol.duration.series(12) == oracle_duration(ps, 12)  # the occupancy DP does not read the table
     if len(ps) <= 3:
-        assert sol.x == tuple(solve_linear_system(build_duel_matrix(ps), [RF.one()] * len(ps)))
+        assert sol.x == tuple(gaussian_solve(build_duel_matrix(ps), [RF.one()] * len(ps)))
 
     first = PatternSet(ps.alphabet, ps.patterns[:1])
     one = DuelSolution(first)  # a 1 x 1 N(1), and a 1 x 1 polynomial solve for the PGF
