@@ -44,9 +44,7 @@ from .patterns import (
 from .pgf import (
     DuelSolution,
     build_duel_matrix,
-    conditional_pgf,
     first_passage_pgf,
-    renewal_gf_from_pgf,
     solve_duel,
 )
 
@@ -71,7 +69,6 @@ __all__ = [
     "build_automaton",
     "build_duel_matrix",
     "build_equilibrium_system",
-    "conditional_pgf",
     "correlation_set",
     "first_passage_pgf",
     "max_overlap",
@@ -81,7 +78,6 @@ __all__ = [
     "overlap_string",
     "parse_alphabet",
     "poly_gcd",
-    "renewal_gf_from_pgf",
     "simulate",
     "solve_duel",
     "solve_equilibrium",

@@ -9,11 +9,10 @@ equality.
 
 No floating point is used anywhere in this module.  Power-series prefixes
 are extracted from rational functions through the linear recurrence
-imposed by the denominator, and one integer recurrence (_series) serves
-expansions about z = 0 and, on the Taylor shifts of num and den, about
-z = 1: with the denominator scaled to den(0) = 1 and a scale s for which
-every den_j s^j and num_i s^i (i, j >= 1) is an integer, t s^k c_k is an
-integer for t the denominator of num(0), and the terms need no division.
+imposed by the denominator, run over ints (_series): with the denominator
+scaled to den(0) = 1 and a scale s for which every den_j s^j and num_i s^i
+(i, j >= 1) is an integer, t s^k c_k is an integer for t the denominator
+of num(0), and the terms need no division.
 
 Linear systems are solved over Q only, and by one elimination: each row is
 scaled to integers, and Bareiss's fraction-free elimination (Math. Comp.
@@ -25,7 +24,7 @@ polynomial packed into one integer.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import lcm, prod
 from typing import Sequence
 
 __all__ = [
@@ -52,9 +51,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 class ExpansionError(ValueError):
     """A function has no power-series expansion at the requested point.
 
-    Raised for a pole at z = 1 and a denominator that vanishes at z = 0.
-    No command expands a rational function at z = 1, so on a command's path
-    only `series` can raise it, and no valid race makes it: an engine fault.
+    Raised for a pole at z = 1 (limit_at_one) and for den(0) = 0 (series).
+    No command takes a limit at z = 1, so on a command's path only `series`
+    can raise it, and no valid race makes it: an engine fault.
     """
 
 
@@ -277,10 +276,6 @@ class RationalFunction:
     def one(cls) -> RationalFunction:
         return cls(Poly.one())
 
-    @classmethod
-    def constant(cls, c: Fraction | int) -> RationalFunction:
-        return cls(Poly.constant(c))
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
@@ -330,16 +325,7 @@ class RationalFunction:
 
     def series(self, n: int) -> SeriesPrefix:
         """First n + 1 Maclaurin coefficients; the denominator must not vanish at 0."""
-        return _series(self.num.coeffs, self.den.coeffs, n, "not a power series: denominator has zero constant term")
-
-    def expansion_at_one(self, n: int) -> SeriesPrefix:
-        """Taylor coefficients d_0 .. d_n of f(1 + w), so d_k = f^(k)(1) / k!.
-
-        ExpansionError at a pole: the canonical form leaves no removable
-        (z - 1) factor, so den(1) = 0 is a pole.
-        """
-        num, den = _taylor_at_one(self.num.coeffs, n), _taylor_at_one(self.den.coeffs, n)
-        return _series(num, den, n, "pole at z = 1: limit does not exist")
+        return _series(self.num.coeffs, self.den.coeffs, n)
 
     def derivative(self) -> RationalFunction:
         """Exact quotient-rule derivative, canonicalized."""
@@ -347,16 +333,13 @@ class RationalFunction:
         return RationalFunction(n.derivative() * d - n * d.derivative(), d * d)
 
     def limit_at_one(self) -> Fraction:
-        """Value at z = 1; ExpansionError at a pole (see expansion_at_one)."""
-        return self.expansion_at_one(0)[0]
+        """num(1) / den(1); num and den share no (z - 1) factor, so den(1) = 0 is a pole: ExpansionError."""
+        if (d := self.den(1)) == 0:
+            raise ExpansionError("pole at z = 1: limit does not exist")
+        return self.num(1) / d
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"
-
-
-def _taylor_at_one(coeffs: Sequence[Fraction], n: int) -> list[Fraction]:
-    """Coefficients 0 .. n of p(1 + w); coefficient k is sum_j C(j, k) p_j."""
-    return [sum((comb(j, k) * c for j, c in enumerate(coeffs[k:], k)), _ZERO) for k in range(n + 1)]
 
 
 def _series_scale(*sequences: Sequence[Fraction]) -> int:
@@ -388,8 +371,8 @@ def _series_scale(*sequences: Sequence[Fraction]) -> int:
     return rest * prod(p**e for p, e in exponents.items())
 
 
-def _series(num: Sequence[Fraction], den: Sequence[Fraction], n: int, no_series: str) -> SeriesPrefix:
-    """c_0 .. c_n of num / den over ints; ExpansionError(no_series) when den[0] is 0.
+def _series(num: Sequence[Fraction], den: Sequence[Fraction], n: int) -> SeriesPrefix:
+    """c_0 .. c_n of num / den over ints; ExpansionError when den[0] is 0.
 
     With num / den scaled to den(0) = 1, s from _series_scale and t the
     denominator of num(0), a_k = t s^k c_k obeys
@@ -399,7 +382,7 @@ def _series(num: Sequence[Fraction], den: Sequence[Fraction], n: int, no_series:
         raise ValueError("series length must be >= 0")
     den0 = den[0]
     if den0 == 0:
-        raise ExpansionError(no_series)
+        raise ExpansionError("not a power series: denominator has zero constant term")
     num = [c / den0 for c in num]
     den = [c / den0 for c in den]
     s = _series_scale(num, den)

@@ -36,6 +36,7 @@ from .patterns import (
     Pattern,
     PatternSet,
     PatternSetError,
+    _brief,
     _contains,
     exact_int,
     exact_str,
@@ -137,7 +138,8 @@ def _check_candidates_budget(alphabet: Alphabet, length: int) -> None:
     """ValueError (exit 3) when best-response would rank more than CANDIDATES_BUDGET candidates."""
     # |alphabet| >= 2, so the first test settles long lengths without computing the power
     if length > CANDIDATES_BUDGET.bit_length() or len(alphabet) ** length > CANDIDATES_BUDGET:
-        raise ValueError(f"best-response over budget: {len(alphabet)}^{length} candidates exceed {CANDIDATES_BUDGET}")
+        raise ValueError(f"best-response over budget: {len(alphabet)}^{Decimal(length):.3g} candidates "
+                         f"exceed {CANDIDATES_BUDGET}")
 
 
 def parse_patterns_option(values: list[str], alphabet: Alphabet) -> list[Pattern]:
@@ -216,8 +218,8 @@ def cmd_duel(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
             results.update(win=win, duration={"mean": mean}, rates=rates)
         elif (eq.win_probs, eq.expected_duration) != (sol.win_probs, sol.mean):
             raise CrossCheckError("generating-function and stationary-rate results disagree")
-        # N(1) is the stationary-rate matrix up to a transpose and a scaling, so the chain is
-        # the independent check
+        # the stationary-rate matrix is N(1) with its rows rescaled, so the chain is the
+        # independent check
         elif oracle_win_probs(ps) != (sol.win_probs, sol.mean, sol.variance):
             raise CrossCheckError("generating-function and absorbing-chain results disagree")
         elif args.n is not None and series[:CHECKED_TERMS + 1] != oracle_duration(ps, min(args.n, CHECKED_TERMS)):
@@ -389,10 +391,9 @@ def _int_in(low: int, high: int | None = None):
 
     def parse(text: str) -> int:
         try:
-            # plain digits may run past the interpreter's int-to-text digit limit
-            value = exact_int(text) if text.isascii() and text.isdigit() else int(text)
+            value = exact_int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid int value: {_brief(text)}") from None
         if value < low or (high is not None and value >= high):
             upper = "" if high is None else f" and < {high}"
             got = exact_str(value) if len(text) <= 20 else f"{Decimal(value):.3g}"

@@ -9,10 +9,10 @@ inside that window gives one linear equation per pattern:
 
 l running over the shifts where pattern i overlaps into pattern j.  Win
 probabilities and expected duration follow from the solved rates:
-win_j = y_j / sum(y), duration = 1 / sum(y); each equation is scaled to
-integers by the lcm of its denominators and solved by Bareiss elimination.
-This is an independent cross-check of the generating-function route; it
-cannot produce higher moments.
+win_j = y_j / sum(y), duration = 1 / sum(y).  Row j is P(string j) times
+row j of N(1), the generating-function route's correlation matrix, so
+this route checks that route's integer overlap table against string
+probabilities, not its elimination.  It cannot produce higher moments.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import _common_denominator, solve_linear_system
+from .algebra import solve_linear_system
 from .patterns import PatternSet, overlap_shifts, string_probability
 
 __all__ = ["EquilibriumSolution", "build_equilibrium_system", "solve_equilibrium"]
@@ -59,8 +59,7 @@ def build_equilibrium_system(
 
 def solve_equilibrium(ps: PatternSet) -> EquilibriumSolution:
     """Solve the stationary rates and derive win probabilities and duration."""
-    rows = [_common_denominator((*row, b))[0] for row, b in zip(*build_equilibrium_system(ps))]
-    y = solve_linear_system([row[:-1] for row in rows], [row[-1] for row in rows])
+    y = solve_linear_system(*build_equilibrium_system(ps))
     if any(yi <= 0 for yi in y):
         raise ArithmeticError("stationary rates must be strictly positive")
     total = sum(y)

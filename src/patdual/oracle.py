@@ -200,11 +200,6 @@ class SimReport:
     def mean_duration(self) -> Fraction:
         return Fraction(self.duration_sum, self.games)
 
-    @property
-    def duration_variance(self) -> Fraction:
-        mean = self.mean_duration
-        return Fraction(self.duration_sq_sum, self.games) - mean * mean
-
 
 def simulate(ps: PatternSet, games: int, seed: int) -> SimReport:
     """Play `games` races to completion; deterministic for a given seed.

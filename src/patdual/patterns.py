@@ -32,6 +32,9 @@ __all__ = [
 
 SymbolSeq = tuple[int, ...]
 
+# int()'s base-10 grammar: Decimal also reads 1e3, 1.0, _1 and 1__0, and int() strips no U+001C..U+001F
+_INT_RE = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*")
+
 
 def exact_str(x: int | Fraction) -> str:
     """str(x) for an int or a Fraction of any size, whatever the interpreter's int-to-text digit limit.
@@ -48,9 +51,14 @@ def exact_str(x: int | Fraction) -> str:
 
 
 def exact_int(text: str) -> int:
-    """int(text) for a literal of decimal digits of any length, whatever the interpreter's digit limit."""
+    """int(text) for any literal int() accepts, whatever its length and the interpreter's digit limit."""
     limit = sys.get_int_max_str_digits()
-    return int(text) if not limit or len(text) <= limit else int(Decimal(text))
+    return int(Decimal(text)) if limit and len(text) > limit and _INT_RE.fullmatch(text) else int(text)
+
+
+def _brief(text: str) -> str:
+    """repr(text), or for a long text the start of it and its length, so that an echo stays on one short line."""
+    return repr(text) if len(repr(text).encode()) <= 60 else f"{ascii(text[:10])}... ({len(text)} characters)"
 
 
 class ParseError(ValueError):
@@ -148,13 +156,13 @@ class Pattern:
             pos = 0
             for token in text.split(","):
                 if token not in alphabet.symbols:
-                    raise ParseError(f"unknown symbol {token!r} in pattern {text!r}", pos)
+                    raise ParseError(f"unknown symbol {_brief(token)} in pattern {_brief(text)}", pos)
                 indices.append(alphabet.index_of(token))
                 pos += len(token) + 1
         else:
             for pos, ch in enumerate(text):
                 if ch not in alphabet.symbols:
-                    raise ParseError(f"unknown symbol {ch!r} in pattern {text!r}", pos)
+                    raise ParseError(f"unknown symbol {ch!r} in pattern {_brief(text)}", pos)
                 indices.append(alphabet.index_of(ch))
         return cls(alphabet, tuple(indices))
 
@@ -274,10 +282,10 @@ _FRACTION_RE = re.compile(r"^[+-]?\d+/\d+$")
 def parse_fraction(text: str, position: int = 0) -> Fraction:
     """Parse an exact fraction literal like 1/2; decimals are rejected."""
     if not _FRACTION_RE.match(text):
-        raise ParseError(f"expected a fraction literal like 1/2, got {text!r}", position)
+        raise ParseError(f"expected a fraction literal like 1/2, got {_brief(text)}", position)
     num, den = map(exact_int, text.split("/"))
     if den == 0:
-        raise ParseError(f"zero denominator in {text!r}", position)
+        raise ParseError(f"zero denominator in {_brief(text)}", position)
     return Fraction(num, den)
 
 
@@ -288,7 +296,7 @@ def parse_alphabet(text: str) -> Alphabet:
     pos = 0
     for part in text.split(","):
         if ":" not in part:
-            raise ParseError(f"expected label:fraction, got {part!r}", pos)
+            raise ParseError(f"expected label:fraction, got {_brief(part)}", pos)
         label, _, frac = part.partition(":")
         if not label:
             raise ParseError("empty symbol label", pos)
@@ -298,4 +306,4 @@ def parse_alphabet(text: str) -> Alphabet:
     try:
         return Alphabet(tuple(labels), tuple(probs))
     except ValueError as exc:
-        raise ParseError(f"invalid alphabet {text!r}: {exc}") from exc
+        raise ParseError(f"invalid alphabet {_brief(text)}: {exc}") from exc

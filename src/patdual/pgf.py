@@ -60,9 +60,7 @@ from .patterns import (
 __all__ = [
     "DuelSolution",
     "build_duel_matrix",
-    "conditional_pgf",
     "first_passage_pgf",
-    "renewal_gf_from_pgf",
     "solve_duel",
 ]
 
@@ -87,31 +85,6 @@ def _first_passage_rf(symbols: tuple[int, ...], alphabet: Alphabet) -> RationalF
 def first_passage_pgf(pattern: Pattern) -> RationalFunction:
     """PGF of the number of trials until the pattern first completes."""
     return _first_passage_rf(pattern.symbols, pattern.alphabet)
-
-
-def renewal_gf_from_pgf(f: RationalFunction) -> RationalFunction:
-    """Generating function of completion-at-trial-n probabilities, u_0 = 1.
-
-    Under the reset rule (consecutive completions may not overlap) the
-    renewal sequence satisfies U = 1 + F * U, i.e. U = 1 / (1 - F).
-    """
-    one = RationalFunction.one()
-    if f == one:
-        raise ValueError("renewal generating function undefined for the constant PGF 1")
-    return one / (one - f)
-
-
-def conditional_pgf(i: Pattern, j: Pattern) -> RationalFunction:
-    """PGF of trials to complete pattern i right after pattern j finished.
-
-    The usable head start is the longest suffix of j that is a prefix of i,
-    so the unconditional PGF of i factors through it:
-    F_i = F(head) * F(i | j).
-    """
-    if i.alphabet != j.alphabet:
-        raise ValueError("patterns use different alphabets")
-    head = overlap_string(j, i)
-    return first_passage_pgf(i) / _first_passage_rf(head, i.alphabet)
 
 
 def build_duel_matrix(ps: PatternSet) -> list[list[RationalFunction]]:

@@ -1,6 +1,11 @@
 """Independent reference routes that the tests check the package against."""
 
-from patdual.algebra import SingularMatrixError
+from fractions import Fraction
+from math import comb
+
+from patdual.algebra import ExpansionError, RationalFunction, SingularMatrixError
+from patdual.patterns import Pattern, overlap_string
+from patdual.pgf import first_passage_pgf
 
 
 def gaussian_solve(matrix, rhs):
@@ -26,3 +31,33 @@ def gaussian_solve(matrix, rhs):
             acc = acc - a[i][j] * x[j]
         x[i] = acc / a[i][i]
     return x
+
+
+def _taylor_at_one(coeffs, n):
+    """Coefficients 0 .. n of p(1 + w); coefficient k is sum_j C(j, k) p_j."""
+    return [sum((comb(j, k) * c for j, c in enumerate(coeffs)), Fraction(0)) for k in range(n + 1)]
+
+
+def expansion_at_one(f, n):
+    """Taylor coefficients d_0 .. d_n of f(1 + w), so d_k = f^(k)(1) / k!, by power-series division over Fractions.
+
+    ExpansionError at a pole: the canonical form leaves no removable (z - 1) factor, so den(1) = 0 is a pole.
+    """
+    num, den = _taylor_at_one(f.num.coeffs, n), _taylor_at_one(f.den.coeffs, n)
+    if den[0] == 0:
+        raise ExpansionError("pole at z = 1: limit does not exist")
+    d = []
+    for k in range(n + 1):
+        d.append((num[k] - sum(den[j] * d[k - j] for j in range(1, k + 1))) / den[0])
+    return tuple(d)
+
+
+def conditional_pgf(i, j):
+    """PGF of trials to complete pattern i right after pattern j finished.
+
+    The usable head start is the longest suffix of j that is a prefix of i, so the unconditional PGF of i
+    factors through it: F_i = F(head) * F(i | j).
+    """
+    head = overlap_string(j, i)
+    f_head = first_passage_pgf(Pattern(i.alphabet, head)) if head else RationalFunction.one()
+    return first_passage_pgf(i) / f_head

@@ -1,7 +1,9 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +11,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from patdual import cli, equilibrium, oracle, pgf
+from patdual import algebra, cli, equilibrium, oracle, pgf
 from patdual.algebra import ExpansionError, RationalFunction, SingularMatrixError
 from patdual.cli import decimal_str, main, percent_str, sqrt_str
 from patdual.patterns import Alphabet, Pattern, PatternSet, parse_alphabet
@@ -345,6 +349,9 @@ def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch)
         ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--n", str(10**400)],
         # past the interpreter's int-to-text digit limit
         ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--n", "1" * 5000],
+        ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--n", "+" + "1" * 5000],
+        # int() reads Arabic-Indic digits, so their value is read whatever the literal's length
+        ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--n", "\u0665" * 5000],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 3 and "budget" in err, argv
@@ -402,15 +409,20 @@ def test_duel_series_needs_no_rational_function_elimination(capsys, monkeypatch)
 
 @pytest.mark.parametrize("alphabet", ["H:1/101,T:100/101", "A:1/7,B:2/11,C:52/77"])
 def test_race_systems_are_solved_over_the_integers(capsys, alphabet, monkeypatch):
-    calls = record_solves(monkeypatch)
+    calls, eliminations, bareiss = record_solves(monkeypatch), [], algebra._bareiss
+    monkeypatch.setattr(algebra, "_bareiss", lambda rows: eliminations.append((len(calls), rows)) or bareiss(rows))
     patterns = "HTTH,TTHT,HHH" if alphabet.startswith("H") else "ABC,CAB,BBA"
     doc = run_json(capsys, "duel", "--alphabet", alphabet, "--patterns", patterns, "--method", "both")
     assert doc["results"]["cross_check"] == "ok"
     # N(1) three times (wins, then u_1 and u_2), the stationary rates once, the chain twice
     assert [module for module, _, _ in calls].count(pgf) == 3
     assert {module for module, _, _ in calls} == {pgf, equilibrium, oracle}
-    for _, matrix, rhs in calls:
-        assert all(type(v) is int for v in rhs) and all(type(v) is int for row in matrix for v in row)
+    for module, matrix, rhs in calls:
+        if module is not equilibrium:  # the stationary rates pass their Fraction system as it is built
+            assert all(type(v) is int for v in rhs) and all(type(v) is int for row in matrix for v in row)
+    # each of the six solves runs exactly one Bareiss elimination, on integer rows
+    assert [call for call, _ in eliminations] == list(range(1, len(calls) + 1)) and len(calls) == 6
+    assert all(type(v) is int for _, rows in eliminations for row in rows for v in row)
 
 
 def test_duel_does_not_import_numpy():
@@ -545,6 +557,7 @@ def test_duel_std_and_skewness_are_exact(capsys):
         ["duel", "--patterns", "HH,TH", "--digits", "1000000"],
         ["duel", "--patterns", "HH,TH", "--digits", str(10**400)],
         ["simulate", "--patterns", "HH,TH", "--games", "10", "--seed", "1" * 5000],
+        ["duel", "--patterns", "HH,TH", "--n", "-" + "1" * 5000],
     ],
 )
 def test_bad_flag_values_exit_2(argv, capsys):
@@ -554,6 +567,83 @@ def test_bad_flag_values_exit_2(argv, capsys):
     # an integer is read as one whatever its length, and a huge one is printed in brief
     message = capsys.readouterr().err.splitlines()[-1]
     assert "invalid int value" not in message and len(message) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--n", "x" * 5000],
+        ["duel", "--alphabet", "x" * 5000, "--patterns", "HH,TH"],
+        ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH," + "Q" * 5000],
+    ],
+)
+def test_rejected_values_are_echoed_in_brief(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert "characters)" in message and len(message.encode()) < 200
+
+
+_DIGITS = ["0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+           "".join(chr(0xFF10 + d) for d in range(10)), "".join(chr(0x1D7CE + d) for d in range(10))]
+_SPACES = st.text(" \t\n\xa0\u3000", max_size=2)
+
+
+@st.composite
+def int_literals(draw):
+    """(text, value): the value int() reads, 10^20 with its sign when the magnitude is larger, None if int() rejects it.
+
+    Valid literals are at most 8 or at least 10^20 in magnitude, so that every request is cheap or refused at once.
+    """
+    if draw(st.integers(0, 3)) == 0:
+        junk = draw(st.text(max_size=20)) + draw(st.sampled_from(["x", "1e3", "1.0", "__", "\x1c"])) * draw(
+            st.integers(1, 3000))
+        return junk, None
+    if draw(st.booleans()):
+        value = draw(st.integers(0, 8))
+        text = "0" * draw(st.sampled_from([0, 1, 5999])) + str(value)
+    else:  # at least 21 digits, the first nonzero
+        value = 10**20
+        text = draw(st.text("123456789", min_size=1, max_size=1)) + draw(st.text("0123456789", min_size=20))
+        text += draw(st.sampled_from("0123456789")) * draw(st.integers(0, 5980 - len(text)))
+    digits = draw(st.sampled_from(_DIGITS))
+    cuts = sorted(draw(st.sets(st.integers(1, len(text) - 1), max_size=3)) if len(text) > 1 else [])
+    text = "_".join(text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)]))
+    text = "".join(digits[int(c)] if c != "_" else c for c in text)
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    return draw(_SPACES) + sign + text + draw(_SPACES), -value if sign == "-" else value
+
+
+# argv up to the flag, and the flag's range [low, high)
+_INT_FLAGS = [
+    (["duel", "--n"], 0, math.inf), (["duel", "--digits"], 0, 2**16), (["simulate", "--games"], 1, math.inf),
+    (["simulate", "--games", "8", "--seed"], 0, 2**64), (["best-response", "--patterns", "HHT", "--length"], 1, math.inf),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(flag=st.sampled_from(_INT_FLAGS), literal=int_literals())
+def test_integer_flags_read_every_int_literal_and_answer_briefly(flag, literal):
+    """Any literal int() reads is read as that integer, whatever its length; any other is a brief usage error."""
+    (*argv, name), low, high = flag
+    text, value = literal
+    if "--patterns" not in argv:
+        argv += ["--patterns", "HH,TH"]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = main([*argv, "--alphabet", "H:1/2,T:1/2", "--format", "json", f"{name}={text}"])
+        except SystemExit as exc:
+            code = exc.code
+    err = stderr.getvalue().splitlines()
+    # out of range is a usage error; a huge value in range is over the flag's work budget
+    assert code == (2 if value is None or not low <= value < high else 3 if value == 10**20 else 0)
+    assert ("invalid int value" in "".join(err[-1:])) == (value is None)
+    assert (err == []) == (code == 0) and all(len(line.encode()) < 200 for line in err)
+    assert [line for line in err if "error:" in line] == err[-1:]  # argparse's usage lines come first
 
 
 def test_largest_seed_is_accepted(capsys):

@@ -25,12 +25,10 @@ from patdual.patterns import (
 from patdual.pgf import (
     DuelSolution,
     build_duel_matrix,
-    conditional_pgf,
     first_passage_pgf,
-    renewal_gf_from_pgf,
     solve_duel,
 )
-from reference import gaussian_solve
+from reference import conditional_pgf, expansion_at_one, gaussian_solve
 
 RF = RationalFunction
 COIN = Alphabet.coin(F(1, 2))
@@ -66,25 +64,6 @@ def sequence_probability(seq, alphabet):
     for c in seq:
         prob *= alphabet.probs[c]
     return prob
-
-
-def brute_force_renewal(pattern, n):
-    """u_n by enumerating every outcome sequence, resetting after completions."""
-    alphabet = pattern.alphabet
-    k = len(pattern)
-    total = F(0)
-    for seq in itertools.product(range(len(alphabet)), repeat=n):
-        buf = []
-        hit = False
-        for t, c in enumerate(seq, start=1):
-            buf.append(c)
-            if len(buf) >= k and tuple(buf[-k:]) == pattern.symbols:
-                buf.clear()
-                if t == n:
-                    hit = True
-        if hit:
-            total += sequence_probability(seq, alphabet)
-    return total
 
 
 def brute_force_first_wins(ps, n):
@@ -138,49 +117,6 @@ def test_series_matches_occupancy_oracle():
             k = rng.randint(1, 5)
             p = Pattern(alphabet, tuple(rng.randrange(len(alphabet)) for _ in range(k)))
             assert first_passage_pgf(p).series(20) == oracle_first_passage(p, 20)
-
-
-def test_renewal_of_deterministic_completion():
-    u = renewal_gf_from_pgf(RF(Poly((0, 1))))
-    assert u == RF(Poly.one(), ONE_MINUS_Z)
-    assert u.series(5) == (F(1),) * 6
-
-
-def test_renewal_of_single_symbol():
-    u = renewal_gf_from_pgf(geometric(F(1, 2)))
-    assert u.series(4) == (F(1), F(1, 2), F(1, 2), F(1, 2), F(1, 2))
-    # every later trial completes H with probability p, independent of history
-    for n in range(1, 7):
-        assert brute_force_renewal(pat("H"), n) == F(1, 2)
-
-
-def test_renewal_of_double_heads_matches_enumeration():
-    u = renewal_gf_from_pgf(first_passage_pgf(pat("HH"))).series(6)
-    assert u[2] == F(1, 4)
-    assert u[3] == F(1, 8)
-    for n in range(1, 7):
-        assert u[n] == brute_force_renewal(pat("HH"), n)
-
-
-def test_renewal_rejects_constant_one():
-    with pytest.raises(ValueError):
-        renewal_gf_from_pgf(RF.one())
-
-
-def test_renewal_convolution_identity_and_enumeration():
-    rng = random.Random(17)
-    for _ in range(4):
-        alphabet = Alphabet.coin(F(rng.randint(1, 4), 5))
-        p = Pattern(alphabet, tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 5))))
-        f = first_passage_pgf(p)
-        fs = f.series(12)
-        us = renewal_gf_from_pgf(f).series(12)
-        assert us[0] == 1
-        assert all(us[i] == 0 for i in range(1, len(p)))
-        for n in range(1, 13):
-            assert us[n] == sum(fs[i] * us[n - i] for i in range(n + 1))
-        for n in range(1, 13):
-            assert us[n] == brute_force_renewal(p, n)
 
 
 def test_conditional_pgf_degenerate_cases():
@@ -421,7 +357,7 @@ def test_race_invariants_and_json_round_trip(ps):
 @given(races(patterns=(1, 4), max_length=5))
 def test_correlation_route_matches_rational_function_route(ps):
     x = gaussian_solve(build_duel_matrix(ps), [RF.one()] * len(ps))
-    d = [sum(c) for c in zip(*(xi.expansion_at_one(3) for xi in x))]  # E[C(T, k)], k = 0..3
+    d = [sum(c) for c in zip(*(expansion_at_one(xi, 3) for xi in x))]  # E[C(T, k)], k = 0..3
     mean, raw_second, raw_third = d[1], 2 * d[2] + d[1], 6 * d[3] + 6 * d[2] + d[1]
     sol = solve_duel(ps)
     assert sol.x == tuple(x)
@@ -487,7 +423,7 @@ def test_integer_route_matches_the_chain_on_awkward_row_scales(ps):
     sol = DuelSolution(ps)
     stats = oracle_win_probs(ps)
     assert (sol.win_probs, sol.mean, sol.variance) == (stats.win_probs, stats.mean, stats.variance)
-    d = sol.duration.expansion_at_one(3)  # from the polynomial solve, not from N(1)
+    d = expansion_at_one(sol.duration, 3)  # from the polynomial solve, not from N(1)
     assert sol.third_central_moment == 6 * d[3] + 6 * d[2] + d[1] - 3 * d[1] * (2 * d[2] + d[1]) + 2 * d[1] ** 3
     assert sol.duration.series(12) == oracle_duration(ps, 12)  # the occupancy DP does not read the table
     if len(ps) <= 3:
