@@ -175,9 +175,10 @@ def cmd_first_passage(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict
     if len(patterns) != 1:
         raise PatternSetError("first-passage requires exactly one pattern")
     pattern = patterns[0]
-    sol, pgf = DuelSolution(PatternSet(alphabet, (pattern,))), first_passage_pgf(pattern)
+    sol = DuelSolution(PatternSet(alphabet, (pattern,)))
     n = args.n if args.n is not None else 4 * math.ceil(sol.mean)
     _check_series_budget(alphabet, n, args.digits)
+    pgf = first_passage_pgf(pattern)  # only once the request is within budget
     return {
         "pattern": pattern.text,
         "pgf": _rf_json(pgf),
@@ -465,6 +466,9 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = (parser := build_parser()).parse_args(argv)
+    # argparse before Python 3.13 strips a flag value of exactly "--" (as in --n=--) and leaves []
+    if any(v == [] or isinstance(v, list) and [] in v for v in vars(args).values()):
+        parser.error("this Python's argparse drops a flag value of '--'")
     if args.command == "duel" and args.method == "equilibrium" and args.n is not None:
         parser.error("duel: --n needs --method pgf or both; the stationary-rate route gives no series")
     out = sys.stdout

@@ -56,9 +56,16 @@ def exact_int(text: str) -> int:
     return int(Decimal(text)) if limit and len(text) > limit and _INT_RE.fullmatch(text) else int(text)
 
 
-def _brief(text: str) -> str:
-    """repr(text), or for a long text the start of it and its length, so that an echo stays on one short line."""
-    return repr(text) if len(repr(text).encode()) <= 60 else f"{ascii(text[:10])}... ({len(text)} characters)"
+def _brief(text: str, show=repr) -> str:
+    """show(text), or for a long text the start of it and its length, so that an echo stays on one short line.
+
+    show is repr for a quoted echo and str for an unquoted one (numbers, pattern texts); where str would
+    print a line break or another unprintable character, the text is quoted and escaped instead.
+    """
+    shown = show(text)
+    if not shown.isprintable():
+        shown = ascii(text)
+    return shown if len(shown.encode()) <= 60 else f"{ascii(text[:10])}... ({len(text)} characters)"
 
 
 class ParseError(ValueError):
@@ -95,9 +102,11 @@ class Alphabet:
             raise ValueError("alphabet labels must be nonempty")
         for label, p in zip(self.symbols, self.probs):
             if not (0 < p < 1):
-                raise ValueError(f"probability of '{label}' must be strictly between 0 and 1, got {exact_str(p)}")
+                raise ValueError(
+                    f"probability of {_brief(label)} must be strictly between 0 and 1, got {_brief(exact_str(p), str)}"
+                )
         if (total := sum(self.probs)) != 1:
-            raise ValueError(f"probabilities must sum exactly to 1, got {exact_str(total)}")
+            raise ValueError(f"probabilities must sum exactly to 1, got {_brief(exact_str(total), str)}")
 
     @classmethod
     def coin(cls, p: Fraction) -> Alphabet:
@@ -118,7 +127,8 @@ class Alphabet:
         try:
             return self.symbols.index(label)
         except ValueError:
-            raise ValueError(f"unknown symbol {label!r} for alphabet {','.join(self.symbols)}") from None
+            labels = _brief(",".join(self.symbols), str)
+            raise ValueError(f"unknown symbol {_brief(label)} for alphabet {labels}") from None
 
     @property
     def single_char(self) -> bool:
@@ -256,18 +266,17 @@ class PatternSet:
             raise PatternSetError("pattern set must contain at least one pattern")
         for idx, pat in enumerate(self.patterns):
             if pat.alphabet != self.alphabet:
-                raise PatternSetError(f"pattern {idx + 1} ({pat}) uses a different alphabet")
+                raise PatternSetError(f"pattern {idx + 1} ({_brief(pat.text, str)}) uses a different alphabet")
         for i, a in enumerate(self.patterns):
             for j, b in enumerate(self.patterns):
                 if i == j:
                     continue
                 if a.symbols == b.symbols:
                     if i < j:
-                        raise PatternSetError(f"duplicate pattern: {i + 1} and {j + 1} are both {a}")
+                        raise PatternSetError(f"duplicate pattern: {i + 1} and {j + 1} are both {_brief(a.text, str)}")
                 elif _contains(b.symbols, a.symbols):
-                    raise PatternSetError(
-                        f"pattern {i + 1} ({a}) is a substring of pattern {j + 1} ({b})"
-                    )
+                    raise PatternSetError(f"pattern {i + 1} ({_brief(a.text, str)}) is a substring of pattern "
+                                          f"{j + 1} ({_brief(b.text, str)})")
 
     def __len__(self) -> int:
         return len(self.patterns)

@@ -1,7 +1,8 @@
-"""First-passage generating functions and the multi-pattern race solver.
+"""The race solver, and first passage as its one-pattern case.
 
-For a single pattern of length k with string probability P, the PGF of
-the trial at which the pattern first completes is
+One pattern's waiting time is the race with one player: `first_passage_pgf`
+reads the duration PGF of a one-pattern `DuelSolution`.  For a pattern of
+length k with string probability P, the race solution below gives, at m = 1,
 
     F(z) = P z^k / ( P z^k + (1 - z) * sum_l P(tail after l) z^(k-l) ),
 
@@ -32,6 +33,7 @@ fraction-free solve over Z[z] with right-hand side s, shared by both,
 gives y and det with z^L N(z) y = det 1; x_i = z^L y_i / den and
 D = z^L sum(y) / den, with den = z^L sum(y) + (1 - z) det.  As
 den(1) = sum(y)(1), x is checked at z = 1 on y, before x or D is built.
+With m = 1, y = s and det = s N(z) z^L, which gives F(z) above.
 """
 
 from __future__ import annotations
@@ -48,14 +50,7 @@ from .algebra import (
     solve_linear_system,
     solve_polynomial_system,
 )
-from .patterns import (
-    Alphabet,
-    Pattern,
-    PatternSet,
-    overlap_shifts,
-    overlap_string,
-    string_probability,
-)
+from .patterns import Pattern, PatternSet, overlap_shifts, overlap_string
 
 __all__ = [
     "DuelSolution",
@@ -68,23 +63,9 @@ __all__ = [
 _ONE_MINUS_Z = Poly((1, -1))
 
 
-def _first_passage_rf(symbols: tuple[int, ...], alphabet: Alphabet) -> RationalFunction:
-    """First-passage PGF of a raw symbol string; the empty string gives 1."""
-    if not symbols:
-        return RationalFunction.one()
-    k = len(symbols)
-    p_full = string_probability(symbols, alphabet)
-    overlap_sum = Poly.zero()
-    for shift in overlap_shifts(symbols, symbols):
-        tail = string_probability(symbols[shift:], alphabet)
-        overlap_sum += Poly.monomial(k - shift, tail)
-    lead = Poly.monomial(k, p_full)
-    return RationalFunction(lead, lead + _ONE_MINUS_Z * overlap_sum)
-
-
 def first_passage_pgf(pattern: Pattern) -> RationalFunction:
-    """PGF of the number of trials until the pattern first completes."""
-    return _first_passage_rf(pattern.symbols, pattern.alphabet)
+    """PGF of the number of trials until the pattern first completes: the duration of its one-pattern race."""
+    return DuelSolution(PatternSet(pattern.alphabet, (pattern,))).duration
 
 
 def build_duel_matrix(ps: PatternSet) -> list[list[RationalFunction]]:
@@ -94,14 +75,8 @@ def build_duel_matrix(ps: PatternSet) -> list[list[RationalFunction]]:
     are exactly 1.
     """
     one = RationalFunction.one()
-    matrix: list[list[RationalFunction]] = []
-    for pat_i in ps.patterns:
-        row = []
-        for pat_j in ps.patterns:
-            head = overlap_string(pat_j, pat_i)
-            row.append(one / _first_passage_rf(head, ps.alphabet))
-        matrix.append(row)
-    return matrix
+    heads = [[overlap_string(pat_j, pat_i) for pat_j in ps.patterns] for pat_i in ps.patterns]
+    return [[one / first_passage_pgf(Pattern(ps.alphabet, head)) if head else one for head in row] for row in heads]
 
 
 def _sqrt(v: Fraction) -> float:

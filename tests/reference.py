@@ -3,8 +3,8 @@
 from fractions import Fraction
 from math import comb
 
-from patdual.algebra import ExpansionError, RationalFunction, SingularMatrixError
-from patdual.patterns import Pattern, overlap_string
+from patdual.algebra import ExpansionError, Poly, RationalFunction, SingularMatrixError
+from patdual.patterns import Pattern, overlap_string, string_probability
 from patdual.pgf import first_passage_pgf
 
 
@@ -61,3 +61,14 @@ def conditional_pgf(i, j):
     head = overlap_string(j, i)
     f_head = first_passage_pgf(Pattern(i.alphabet, head)) if head else RationalFunction.one()
     return first_passage_pgf(i) / f_head
+
+
+def explicit_first_passage(symbols, alphabet):
+    """Textbook form: P z^k / (P z^k + (1-z) sum_shifts P(tail) z^(k-shift)), from string probabilities alone."""
+    k = len(symbols)
+    lead = Poly.monomial(k, string_probability(symbols, alphabet))
+    acc = Poly.zero()
+    for i in range(1, k + 1):
+        if symbols[k - i :] == symbols[:i]:
+            acc += Poly.monomial(k - i, string_probability(symbols[i:], alphabet))
+    return RationalFunction(lead, lead + Poly((1, -1)) * acc)

@@ -336,6 +336,7 @@ def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch)
 
     monkeypatch.setattr(RationalFunction, "series", work)
     monkeypatch.setattr(cli, "solve_duel", work)
+    monkeypatch.setattr(cli, "first_passage_pgf", work)
     for argv in (
         # default --n = 4 * ceil(mean) = 37,320 coefficients over denominators up to 6^37320
         ["first-passage", "--alphabet", "A:1/2,B:1/3,C:1/6", "--patterns", "CCCCC"],
@@ -346,6 +347,8 @@ def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch)
         ["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HHT", "--length", str(10**9)],
         # default --n = 4 * ceil(mean), about 4 * 10^400: past the float range
         ["first-passage", "--alphabet", f"H:1/{10**200},T:{10**200 - 1}/{10**200}", "--patterns", "HH"],
+        # default --n = 4 * (2^1601 - 2): refused from the mean alone, before the PGF is built
+        ["first-passage", "--alphabet", "H:1/2,T:1/2", "--patterns", "H" * 1600],
         ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--n", str(10**400)],
         # past the interpreter's int-to-text digit limit
         ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--n", "1" * 5000],
@@ -587,6 +590,37 @@ def test_rejected_values_are_echoed_in_brief(argv, capsys):
     assert "characters)" in message and len(message.encode()) < 200
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["duel", "--alphabet", "H:1/" + "1" * 3000 + ",T:1/2", "--patterns", "HH,TH"], 2),  # the sum
+        (["duel", "--alphabet", "x" * 150 + ":3/2,T:1/2", "--patterns", "TT"], 2),  # the label
+        (["duel", "--alphabet", "H:" + "1" * 3000 + "/2,T:1/2", "--patterns", "HH"], 2),  # the probability
+        (["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "H" * 5000 + "," + "H" * 5000], 3),  # duplicates
+        (["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "H" * 5000 + "," + "H" * 4999], 3),  # a substring
+    ],
+)
+def test_invalid_alphabets_and_pattern_sets_are_echoed_in_brief(argv, code, capsys):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "characters)" in err and len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "alphabet, patterns, message",
+    [
+        ("H:3/2,T:1/2", "HH,TH", "invalid alphabet 'H:3/2,T:1/2': probability of 'H' must be strictly between 0 and 1, "
+                                 "got 3/2"),
+        ("H:1/3,T:1/2", "HH,TH", "invalid alphabet 'H:1/3,T:1/2': probabilities must sum exactly to 1, got 5/6"),
+        ("H:1/2,T:1/2", "HH,HH", "duplicate pattern: 1 and 2 are both HH"),
+        ("H:1/2,T:1/2", "H,TH", "pattern 1 (H) is a substring of pattern 2 (TH)"),
+    ],
+)
+def test_short_invalid_alphabets_and_pattern_sets_are_echoed_in_full(alphabet, patterns, message, capsys):
+    main(["duel", "--alphabet", alphabet, "--patterns", patterns])
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 _DIGITS = ["0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
            "".join(chr(0xFF10 + d) for d in range(10)), "".join(chr(0x1D7CE + d) for d in range(10))]
 _SPACES = st.text(" \t\n\xa0\u3000", max_size=2)
@@ -644,6 +678,86 @@ def test_integer_flags_read_every_int_literal_and_answer_briefly(flag, literal):
     assert ("invalid int value" in "".join(err[-1:])) == (value is None)
     assert (err == []) == (code == 0) and all(len(line.encode()) < 200 for line in err)
     assert [line for line in err if "error:" in line] == err[-1:]  # argparse's usage lines come first
+
+
+# fraction literals that no alphabet accepts, or that break the sum to 1
+_BAD_FRACTIONS = ["0/1", "-1/3", "3/2", "1/1", "1/0", "1/2.0", "0.5", "", "1/" + "1" * 3000, "1" * 3000 + "/2",
+                  "-" + "9" * 400 + "/7", "1/" + "\u0663"]
+
+
+@st.composite
+def alphabet_flags(draw):
+    """(--alphabet text, labels): 2-3 labels, one of which may be long, multi-character or a duplicate, and weights
+    written as fraction literals over a small or a huge denominator, signed or not; sometimes one bad literal."""
+    size = draw(st.integers(2, 3))
+    labels = draw(st.lists(st.text("HTab0é\n=-", min_size=1, max_size=1), min_size=size, max_size=size, unique=True))
+    labels[-1] = draw(st.sampled_from([labels[-1]] * 5 + [labels[-1] + "b", "x" * 150, labels[0]]))
+    weights = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
+    scale = draw(st.sampled_from([1, 2, 10**200]))
+    fractions = [f"{draw(st.sampled_from(['', '+']))}{w * scale}/{sum(weights) * scale}" for w in weights]
+    if draw(st.integers(0, 3)) == 3:
+        fractions[draw(st.integers(0, size - 1))] = draw(st.sampled_from(_BAD_FRACTIONS))
+    return ",".join(f"{a}:{p}" for a, p in zip(labels, fractions)), labels
+
+
+@st.composite
+def contract_requests(draw):
+    """argv for duel or first-passage: 1-3 patterns of 2-4 labels, sometimes with a duplicate, a substring or an
+    unknown symbol; a small --n (always for first-passage, whose default n grows with the mean)."""
+    command = draw(st.sampled_from(["duel", "first-passage"]))
+    alphabet, labels = draw(alphabet_flags())
+    m = draw(st.sampled_from([2, 3, 1] if command == "duel" else [1, 1, 1, 2]))
+    patterns = draw(st.lists(st.lists(st.sampled_from(labels), min_size=2, max_size=4), min_size=m, max_size=m,
+                             unique_by=tuple))
+    mistake = draw(st.integers(0, 7))
+    if mistake == 7:
+        patterns[-1][-1] = "Q"
+    elif mistake == 6:
+        patterns[-1] = patterns[0]
+    elif mistake == 5:
+        patterns[-1] = patterns[0][draw(st.integers(0, 1)):][:draw(st.integers(1, 3))]  # a substring
+    if all(len(a) == 1 for a in labels):  # bare patterns; with these labels "H,T" would be two patterns
+        pattern_flags = ["--patterns=" + ",".join("".join(p) for p in patterns)]
+    else:
+        pattern_flags = ["--patterns=" + ",".join(p) for p in patterns]
+    n = draw(st.one_of(st.none(), st.integers(0, 10))) if command == "duel" else draw(st.integers(0, 10))
+    flags = [] if n is None else [f"--n={n}"]
+    if command == "duel":
+        flags.append(f"--method={draw(st.sampled_from(['pgf', 'both'] + ['equilibrium'] * (n is None)))}")
+    return [command, f"--alphabet={alphabet}", *pattern_flags, *flags, "--format=json"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(contract_requests())
+def test_every_alphabet_and_pattern_list_gets_an_answer_or_a_brief_error(argv):
+    """The README's contract: exit 0 with JSON, 2 for what does not parse, 3 for what is refused; one short error line."""
+    out, err, usage = io.StringIO(), io.StringIO(), False
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error: argparse prints its usage lines before the error line
+            code, usage = exc.code, True
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3), lines
+    if code == 0:
+        assert json.loads(out.getvalue())["command"] == argv[0] and lines == []
+    else:
+        assert [line for line in lines if "error: " in line] == lines[-1:] and (usage or len(lines) == 1), lines
+        assert all(len(line.encode()) < 200 for line in lines), lines
+
+
+@pytest.mark.parametrize("flag", ["--patterns=--", "--alphabet=--", "--n=--", "--digits=--", "--method=--"])
+def test_a_flag_value_of_double_dash_is_read_or_refused(flag, capsys):
+    """Before Python 3.13 argparse reads --flag=-- as [], so main refuses it there instead of passing a list on."""
+    argv = ["duel", "--alphabet=-:1/2,T:1/2", "--patterns=T-", *([] if flag == "--n=--" else ["--n=2"]), flag]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err.splitlines()
+    # where argparse keeps "--", it is read: as a pattern of two "-" symbols, and as a bad value of each other flag
+    assert code == 2 or code == 0 and flag == "--patterns=--", err
+    assert all(len(line.encode()) < 200 for line in err) and "'--'" in "".join(err[-1:]) if code else err == []
 
 
 def test_largest_seed_is_accepted(capsys):

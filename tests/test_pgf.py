@@ -20,7 +20,6 @@ from patdual.patterns import (
     PatternSet,
     PatternSetError,
     overlap_string,
-    string_probability,
 )
 from patdual.pgf import (
     DuelSolution,
@@ -28,7 +27,7 @@ from patdual.pgf import (
     first_passage_pgf,
     solve_duel,
 )
-from reference import conditional_pgf, expansion_at_one, gaussian_solve
+from reference import conditional_pgf, expansion_at_one, explicit_first_passage, gaussian_solve
 
 RF = RationalFunction
 COIN = Alphabet.coin(F(1, 2))
@@ -46,17 +45,6 @@ def pset(*texts, alphabet=COIN):
 def geometric(p):
     # p z / (1 - (1-p) z)
     return RF(Poly((0, p)), Poly((1, p - 1)))
-
-
-def explicit_first_passage(symbols, alphabet):
-    """Textbook form: P z^k / (P z^k + (1-z) sum_shifts P(tail) z^(k-shift))."""
-    k = len(symbols)
-    lead = Poly.monomial(k, string_probability(symbols, alphabet))
-    acc = Poly.zero()
-    for i in range(1, k + 1):
-        if symbols[k - i :] == symbols[:i]:
-            acc += Poly.monomial(k - i, string_probability(symbols[i:], alphabet))
-    return RF(lead, lead + ONE_MINUS_Z * acc)
 
 
 def sequence_probability(seq, alphabet):
@@ -100,6 +88,27 @@ def test_explicit_form_of_length9_pattern():
     lead = Poly.monomial(9, p**2 * q**7)
     overlap = Poly.monomial(8, p**2 * q**6) + Poly.monomial(5, p * q**4) + Poly.one()
     assert first_passage_pgf(w) == RF(lead, lead + ONE_MINUS_Z * overlap)
+
+
+@st.composite
+def single_patterns(draw):
+    """One pattern of 1-12 symbols over a biased alphabet of 2-4 symbols."""
+    labels = "ABCD"[: draw(st.integers(2, 4))]
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(labels), max_size=len(labels)))
+    alphabet = Alphabet(tuple(labels), tuple(F(w, sum(weights)) for w in weights))
+    return Pattern.parse(draw(st.text(labels, min_size=1, max_size=12)), alphabet)
+
+
+@settings(max_examples=100, deadline=None)
+@given(single_patterns())
+def test_first_passage_pgf_matches_the_textbook_form(pattern):
+    assert first_passage_pgf(pattern) == explicit_first_passage(pattern.symbols, pattern.alphabet)
+
+
+def test_first_passage_pgf_of_a_long_pattern_matches_the_textbook_form():
+    alphabet = Alphabet(("A", "B", "C"), (F(1, 7), F(2, 11), F(52, 77)))
+    pattern = Pattern.parse("ABCAB" * 60, alphabet)  # 300 symbols that overlap themselves at 61 shifts
+    assert first_passage_pgf(pattern) == explicit_first_passage(pattern.symbols, alphabet)
 
 
 def test_first_passage_sums_to_one_and_mean_of_double_heads():
@@ -200,7 +209,7 @@ def test_solve_duel_hand_checked_pairs():
 def test_solve_duel_degenerate_single_pattern():
     sol = solve_duel(pset("HH"))
     assert sol.win_probs == (F(1),)
-    assert sol.duration == first_passage_pgf(pat("HH"))
+    assert sol.duration == explicit_first_passage(pat("HH").symbols, COIN)
     assert sol.mean == 6
 
 
@@ -312,7 +321,7 @@ def test_moments_share_one_derivative_chain(monkeypatch):
 def test_first_passage_solution_matches_chain_solver():
     for alphabet, text in ((COIN, "HTH"), (Alphabet.coin(F(1, 3)), "HHTH"), (Alphabet.uniform("123"), "121")):
         ps = pset(text, alphabet=alphabet)
-        f = first_passage_pgf(ps.patterns[0])
+        f = explicit_first_passage(ps.patterns[0].symbols, alphabet)
         sol = DuelSolution(ps)
         stats = oracle_win_probs(ps)
         assert sol.win_probs == (1,)
@@ -433,7 +442,7 @@ def test_integer_route_matches_the_chain_on_awkward_row_scales(ps):
     one = DuelSolution(first)  # a 1 x 1 N(1), and a 1 x 1 polynomial solve for the PGF
     stats = oracle_win_probs(first)
     assert (one.mean, one.variance) == (stats.mean, stats.variance)
-    assert one.duration == first_passage_pgf(first.patterns[0])
+    assert one.duration == explicit_first_passage(first.patterns[0].symbols, ps.alphabet)
 
 
 def test_race_answers_build_no_rational_function(monkeypatch):
