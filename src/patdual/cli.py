@@ -8,7 +8,7 @@ Decimal renderings use round-half-even at the configured digit count.
 Exit codes: 0 success, 2 parse/usage errors, 3 precondition violations
 (invalid pattern sets, requests over a work budget and the like), 4 internal
 failures (singular systems, cross-check disagreement, and an ExpansionError,
-which no valid race can cause).
+which no valid race can cause), 141 when the reader of stdout closes it early.
 
 The argparse tree is built once, when this module is imported, and every
 `main` call parses with it; `main` touches no interpreter-wide state, so it
@@ -23,6 +23,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -156,7 +157,7 @@ def parse_patterns_option(values: list[str], alphabet: Alphabet) -> list[Pattern
         tokens = value.split(",")
         if len(tokens) > 1:
             try:
-                patterns.extend(Pattern.parse(tok, alphabet) for tok in tokens)
+                patterns.extend([Pattern.parse(tok, alphabet) for tok in tokens])
                 continue
             except ParseError:
                 pass
@@ -381,7 +382,13 @@ def _render_table(doc: dict, out) -> None:
 def _render_csv(doc: dict, out) -> None:
     """The primary table as CSV; a coefficient series comes first when present (plotting hook)."""
     series = doc["results"].get("coefficients")
-    columns, rows = (_SERIES_COLUMNS, series) if series is not None else _primary_table(doc)
+    if series is not None:
+        # no int, fraction literal or decimal holds a comma, quote or line break: csv.writer's bytes, unscanned;
+        # row by row, since under `python -u` one big write to a closed pipe loses its tail without an error
+        out.write(",".join(_SERIES_COLUMNS) + "\r\n")
+        out.writelines(f"{r['n']},{r['exact']},{r['decimal']}\r\n" for r in series)
+        return
+    columns, rows = _primary_table(doc)
     writer = csv.writer(out)
     writer.writerow(columns)
     writer.writerows([row[col] for col in columns] for row in rows)
@@ -495,13 +502,18 @@ def main(argv: list[str] | None = None) -> int:
         "patterns": [p.text for p in patterns],
         "results": results,
     }
-    if args.format == "json":
-        json.dump(doc, out, indent=2)
-        print(file=out)
-    elif args.format == "csv":
-        _render_csv(doc, out)
-    else:
-        _render_table(doc, out)
+    try:
+        if args.format == "json":
+            json.dump(doc, out, indent=2)
+            print(file=out)
+        elif args.format == "csv":
+            _render_csv(doc, out)
+        else:
+            _render_table(doc, out)
+        out.flush()
+    except BrokenPipeError:  # the reader has gone (`| head`): point fd 1 at devnull so exit flushes quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 141
     return 0
 
 

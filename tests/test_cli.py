@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from patdual import algebra, cli, equilibrium, oracle, pgf
 from patdual.algebra import ExpansionError, RationalFunction, SingularMatrixError
 from patdual.cli import decimal_str, main, percent_str, sqrt_str
-from patdual.patterns import Alphabet, Pattern, PatternSet, parse_alphabet
+from patdual.patterns import Alphabet, Pattern, PatternSet, exact_str, parse_alphabet
 DATA = Path(__file__).parent / "data"
 
 
@@ -254,6 +254,98 @@ def test_bare_pattern_over_digit_alphabet(capsys):
         "--patterns", "123", "--n", "3",
     )
     assert doc["results"]["mean"]["exact"] == "216"
+
+
+def test_a_pattern_list_keeps_no_tokens_of_a_split_that_failed():
+    """'H,TT' over labels H and TT: 'H' parses alone and 'TT' does not, so the occurrence is the one pattern (H,TT)."""
+    assert [p.text for p in cli.parse_patterns_option(["H,TT"], parse_alphabet("H:1/2,TT:1/2"))] == ["H,TT"]
+
+
+def test_a_duel_of_multi_character_patterns_whose_first_token_parses_alone(capsys):
+    doc = run_json(capsys, "duel", "--alphabet", "H:1/2,TT:1/2", "--patterns", "H,TT", "--patterns", "TT,H")
+    assert doc["patterns"] == ["H,TT", "TT,H"]
+    assert sum(F(w["exact"]) for w in doc["results"]["win"]) == 1
+
+
+def csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+@st.composite
+def series_rows(draw):
+    """Rows shaped as _series_rows builds them: n >= 0, exact 'a/b', 'a' or '-a/b', a decimal with 0-12 places."""
+    digits = draw(st.integers(0, 12))
+    big = st.integers(0, 10**draw(st.sampled_from([3, 30, 3000])))
+    rows = []
+    for n in draw(st.lists(st.integers(0, 10**6), max_size=8)):
+        x = F(draw(big) * draw(st.sampled_from([1, -1])), draw(big) + 1)
+        rows.append({"n": n, "exact": exact_str(x), "decimal": decimal_str(x, digits)})
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_rows())
+def test_series_csv_is_what_csv_writer_writes(rows):
+    out = io.StringIO()
+    cli._render_csv({"command": "first-passage", "results": {"coefficients": rows}}, out)
+    assert out.getvalue() == csv_text([["n", "exact", "decimal"], *([r["n"], r["exact"], r["decimal"]] for r in rows)])
+
+
+@pytest.mark.parametrize("alphabet, patterns", [
+    ("H:1/2,T:1/2", [["HTH"], ["HH,THT"]]),
+    ("A:1/2,B:1/3,C:1/6", [["CAB"], ["AB,CA,BB"]]),
+    ("H:1/2,TT:1/2", [["H,TT,H"], ["H,TT", "TT,H"]]),
+])
+def test_series_csv_of_real_requests_is_what_csv_writer_writes(alphabet, patterns, capsys):
+    requests = [["first-passage", *(f"--patterns={p}" for p in patterns[0])],
+                ["duel", *(f"--patterns={p}" for p in patterns[1]), "--method", "both"]]
+    for argv in requests:
+        argv += ["--alphabet", alphabet, "--n", "40"]
+        rows = run_json(capsys, *argv)["results"]["coefficients"]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and len(rows) == 41
+        assert out == csv_text([["n", "exact", "decimal"], *([r["n"], r["exact"], r["decimal"]] for r in rows)])
+
+
+def test_only_win_tables_go_through_csv_writer(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.writer")
+
+    monkeypatch.setattr(cli.csv, "writer", refuse)
+    assert run(capsys, "first-passage", "--alphabet", "H:1/2,T:1/2", "--patterns", "HTH", "--format", "csv")[0] == 0
+    series_duel = ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--n", "9", "--format", "csv"]
+    assert run(capsys, *series_duel)[0] == 0
+    win_table = ["duel", "--alphabet", "H:1/2,TT:1/2", "--patterns", "H,TT", "--patterns", "TT,H", "--format", "csv"]
+    with pytest.raises(AssertionError, match="csv.writer"):
+        main(win_table)
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *win_table)
+    assert code == 0
+    lines = out.split("\r\n")
+    assert lines[1].startswith('"H,TT",') and lines[2].startswith('"TT,H",')
+    assert [row[0] for row in csv.reader(io.StringIO(out))] == ["pattern", "H,TT", "TT,H"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_exits_141_quietly(fmt, unbuffered):
+    """`patdual ... | head -1`: megabytes of output against a 64 KiB pipe, so a write after the reader has gone fails.
+
+    Unbuffered (-u), a text stream writes straight to the pipe and ignores a short write, so a table written in one
+    piece would lose its tail and exit 0; written row by row, the next row meets the closed pipe.
+    """
+    src = str(Path(__file__).parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = [sys.executable, *(["-u"] if unbuffered else []), "-m", "patdual.cli", "first-passage",
+            "--alphabet", "H:1/2,T:1/2", "--patterns", "HTH", "--n", "3000", "--format", fmt]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() in (b"n,exact,decimal\r\n", b"{\n")
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141
 
 
 def test_exit_code_2_on_parse_errors(capsys):
