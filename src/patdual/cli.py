@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .algebra import ExpansionError, RationalFunction
 from .equilibrium import solve_equilibrium
-from .oracle import _CHUNK, oracle_duration, oracle_win_probs, simulate
+from .oracle import check_simulation_budget, oracle_duration, oracle_win_probs, simulate
 from .patterns import (
     Alphabet,
     ParseError,
@@ -52,9 +52,6 @@ class CrossCheckError(ArithmeticError):
     """The generating-function route disagreed with the stationary-rate or absorbing-chain route."""
 
 
-# simulate refuses a request when max(games, chunk size) * mean duration exceeds this:
-# oracle.simulate steps once per trial of a chunk's longest game, for all its games
-SIMULATION_BUDGET = 2**30
 # a series request is refused when its coefficients could print more digits than this: exact
 # coefficient k is (integer) / q^k, q the lcm of the symbol denominators, so its numerator and
 # denominator take at most k log10(q) + 1 digits each, and its decimal takes digits + 1
@@ -144,25 +141,17 @@ def _check_candidates_budget(alphabet: Alphabet, length: int) -> None:
 
 
 def parse_patterns_option(values: list[str], alphabet: Alphabet) -> list[Pattern]:
-    """Expand --patterns occurrences into patterns.
+    """Expand --patterns occurrences into patterns, by one rule that the alphabet decides.
 
-    Each occurrence is split on commas.  When there are several tokens and
-    every one parses as a bare pattern, the tokens are separate patterns
-    (e.g. 'HH,TH'); otherwise the occurrence is a single pattern whose
-    symbols are the comma-delimited tokens (needed for multi-character
-    labels such as '10,2,10').
+    Over single-character labels each occurrence is a comma-separated list
+    of bare patterns ('HH,TH').  Over an alphabet with any longer label each
+    occurrence is one pattern, its comma-separated labels ('10,2,10'), and
+    an occurrence without a comma is one label; repeat the flag for several
+    patterns.  Either way `Pattern.parse` reads the pattern texts back.
     """
-    patterns: list[Pattern] = []
-    for value in values:
-        tokens = value.split(",")
-        if len(tokens) > 1:
-            try:
-                patterns.extend([Pattern.parse(tok, alphabet) for tok in tokens])
-                continue
-            except ParseError:
-                pass
-        patterns.append(Pattern.parse(value, alphabet))
-    return patterns
+    if alphabet.single_char:
+        return [Pattern.parse(text, alphabet) for value in values for text in value.split(",")]
+    return [Pattern.parse(value, alphabet) for value in values]
 
 
 def _rf_json(rf: RationalFunction) -> dict:
@@ -236,12 +225,8 @@ def cmd_simulate(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
     if len(patterns) < 2:
         raise PatternSetError("simulate requires at least two patterns")
     ps = PatternSet(alphabet, tuple(patterns))
+    check_simulation_budget(ps, args.games)  # simulate checks too; this refuses before solve_duel
     sol = solve_duel(ps)
-    if max(args.games, _CHUNK) * sol.mean > SIMULATION_BUDGET:
-        raise ValueError(
-            f"simulation over budget: max(games, {_CHUNK}) * mean duration "
-            f"{decimal_str(sol.mean, 0)} exceeds {SIMULATION_BUDGET} trials"
-        )
     report = simulate(ps, args.games, args.seed)
 
     rows = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import solve_linear_system
-from .patterns import PatternSet, overlap_shifts, string_probability
+from .patterns import PatternSet, overlap_shifts
 
 __all__ = ["EquilibriumSolution", "build_equilibrium_system", "solve_equilibrium"]
 
@@ -42,18 +42,17 @@ def build_equilibrium_system(
     probability of pattern j's tail after position l; rhs[j] is pattern j's
     full string probability.
     """
-    alphabet = ps.alphabet
+    probs = ps.alphabet.probs
     matrix: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for pat_j in ps.patterns:
-        row = []
-        for pat_i in ps.patterns:
-            acc = Fraction(0)
-            for shift in overlap_shifts(pat_i.symbols, pat_j.symbols):
-                acc += string_probability(pat_j.symbols[shift:], alphabet)
-            row.append(acc)
-        matrix.append(row)
-        rhs.append(string_probability(pat_j.symbols, alphabet))
+        tails = [Fraction(1)]  # tails[l] = P(pattern j's symbols after position l), one product each
+        for s in reversed(pat_j.symbols):
+            tails.append(tails[-1] * probs[s])
+        tails.reverse()
+        matrix.append([sum((tails[shift] for shift in overlap_shifts(pat_i.symbols, pat_j.symbols)), Fraction(0))
+                       for pat_i in ps.patterns])
+        rhs.append(tails[0])
     return matrix, rhs
 
 

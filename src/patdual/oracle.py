@@ -25,13 +25,16 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .algebra import SeriesPrefix, _common_denominator, solve_linear_system
-from .patterns import Pattern, PatternSet
+from .equilibrium import solve_equilibrium
+from .patterns import Pattern, PatternSet, _brief, exact_str
 
 __all__ = [
+    "SIMULATION_BUDGET",
     "OracleStats",
     "SimReport",
     "SuffixAutomaton",
     "build_automaton",
+    "check_simulation_budget",
     "oracle_duration",
     "oracle_first_passage",
     "oracle_win_probs",
@@ -39,6 +42,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+# simulate refuses a request when max(games, _CHUNK) * mean duration exceeds this:
+# it steps once per trial of a chunk's longest game, for all its games
+SIMULATION_BUDGET = 2**30
 
 
 @dataclass(frozen=True)
@@ -201,15 +207,31 @@ class SimReport:
         return Fraction(self.duration_sum, self.games)
 
 
+def check_simulation_budget(ps: PatternSet, games: int) -> None:
+    """ValueError when simulating `games` races over ps could take more than SIMULATION_BUDGET trials.
+
+    The mean duration comes from the stationary-rate route, one solve of
+    order len(ps); the chain's solves grow with the cube of the automaton,
+    which a long pattern against a short one makes large at a small mean.
+    """
+    mean = solve_equilibrium(ps).expected_duration
+    if max(games, _CHUNK) * mean > SIMULATION_BUDGET:
+        raise ValueError(f"simulation over budget: max(games, {_CHUNK}) * mean duration "
+                         f"{_brief(exact_str(round(mean)), str)} exceeds {SIMULATION_BUDGET} trials")
+
+
 def simulate(ps: PatternSet, games: int, seed: int) -> SimReport:
     """Play `games` races to completion; deterministic for a given seed.
 
-    See the module docstring for the PRNG and chunking scheme.
+    A request over the trial budget is refused before any draw (see
+    check_simulation_budget).  See the module docstring for the PRNG and
+    chunking scheme.
     """
     if games < 1:
         raise ValueError("games must be >= 1")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    check_simulation_budget(ps, games)
     import numpy as np  # only the simulator needs it, and it dominates import time
     auto = build_automaton(ps)
     nt, k = auto.n_transient, len(ps.alphabet)

@@ -98,8 +98,8 @@ class Alphabet:
             raise ValueError("symbols and probabilities differ in length")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet labels must be distinct")
-        if any(not s for s in self.symbols):
-            raise ValueError("alphabet labels must be nonempty")
+        if any(not s or "," in s for s in self.symbols):
+            raise ValueError("alphabet labels must be nonempty and hold no comma")
         for label, p in zip(self.symbols, self.probs):
             if not (0 < p < 1):
                 raise ValueError(
@@ -122,13 +122,6 @@ class Alphabet:
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.symbols.index(label)
-        except ValueError:
-            labels = _brief(",".join(self.symbols), str)
-            raise ValueError(f"unknown symbol {_brief(label)} for alphabet {labels}") from None
 
     @property
     def single_char(self) -> bool:
@@ -153,27 +146,23 @@ class Pattern:
 
     @classmethod
     def parse(cls, text: str, alphabet: Alphabet) -> Pattern:
-        """Parse a pattern literal.
+        """The pattern whose `text` this is.
 
-        If the text contains a comma it is read as comma-delimited symbol
-        labels; otherwise each character must itself be a label (the bare
-        form, available when labels are single characters).
+        A text with a comma is read as comma-delimited symbol labels.  A text
+        without one is read character by character over single-character
+        labels (the bare form), and as one label otherwise.
         """
         if not text:
             raise ParseError("empty pattern", 0)
+        split = "," in text or not alphabet.single_char
+        index = {label: i for i, label in enumerate(alphabet.symbols)}
         indices: list[int] = []
-        if "," in text:
-            pos = 0
-            for token in text.split(","):
-                if token not in alphabet.symbols:
-                    raise ParseError(f"unknown symbol {_brief(token)} in pattern {_brief(text)}", pos)
-                indices.append(alphabet.index_of(token))
-                pos += len(token) + 1
-        else:
-            for pos, ch in enumerate(text):
-                if ch not in alphabet.symbols:
-                    raise ParseError(f"unknown symbol {ch!r} in pattern {_brief(text)}", pos)
-                indices.append(alphabet.index_of(ch))
+        pos = 0
+        for token in text.split(",") if split else text:
+            if (i := index.get(token)) is None:
+                raise ParseError(f"unknown symbol {_brief(token)} in pattern {_brief(text)}", pos)
+            indices.append(i)
+            pos += len(token) + split  # a split token is followed by its comma
         return cls(alphabet, tuple(indices))
 
     def __len__(self) -> int:
@@ -185,7 +174,7 @@ class Pattern:
 
     @property
     def text(self) -> str:
-        """Canonical display form: bare for single-character alphabets."""
+        """Canonical display form, which `parse` reads back: bare for single-character alphabets."""
         if self.alphabet.single_char:
             return "".join(self.labels)
         return ",".join(self.labels)

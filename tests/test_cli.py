@@ -267,6 +267,22 @@ def test_a_duel_of_multi_character_patterns_whose_first_token_parses_alone(capsy
     assert sum(F(w["exact"]) for w in doc["results"]["win"]) == 1
 
 
+def test_a_one_symbol_pattern_over_multi_character_labels_is_its_label(capsys):
+    doc = run_json(capsys, "first-passage", "--alphabet", "10:1/2,2:1/2", "--patterns", "10", "--n", "3")
+    assert doc["patterns"] == ["10"]
+    assert [c["exact"] for c in doc["results"]["coefficients"]] == ["0", "1/2", "1/4", "1/8"]
+
+
+def test_a_comma_list_over_a_multi_character_label_is_one_pattern(capsys):
+    """Over H, T and TT, 'TT,H' is the one pattern (TT,H), never the two patterns (T,T) and (H)."""
+    doc = run_json(capsys, "first-passage", "--alphabet", "H:1/3,T:1/3,TT:1/3", "--patterns", "TT,H", "--n", "2")
+    assert doc["patterns"] == ["TT,H"]
+    assert doc["results"]["mean"]["exact"] == "9"
+    doc = run_json(capsys, "duel", "--alphabet", "H:1/3,T:1/3,TT:1/3", "--patterns", "H,T,T", "--patterns", "TT,H")
+    assert doc["patterns"] == ["H,T,T", "TT,H"]
+    assert sum(F(w["exact"]) for w in doc["results"]["win"]) == 1
+
+
 def csv_text(rows) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
@@ -422,6 +438,17 @@ def test_simulation_over_budget_exits_3_without_simulating(capsys, monkeypatch):
     assert code == 3 and "budget" in err
 
 
+def test_simulation_over_budget_prints_a_huge_mean_in_brief(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "simulate", lambda *args: pytest.fail("simulate ran"))
+    # the exact mean duration is about 10^400 trials
+    code, _, err = run(
+        capsys, "simulate", "--alphabet", f"H:1/{10**200},T:{10**200 - 1}/{10**200}", "--patterns", "HHH,HHT",
+        "--games", "1",
+    )
+    assert code == 3 and "budget" in err and "(401 characters)" in err
+    assert len(err.encode()) < 200
+
+
 def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch):
     def work(*args):
         raise AssertionError("work started")
@@ -470,7 +497,7 @@ def test_benchmark_decks_are_ten_times_under_the_work_budgets(monkeypatch):
             if argv[0] == "simulate":
                 patterns = tuple(Pattern.parse(text, alphabet) for text in flags["--patterns"].split(","))
                 mean = pgf.solve_duel(PatternSet(alphabet, patterns)).mean
-                assert max(int(flags["--games"]), oracle._CHUNK) * mean <= cli.SIMULATION_BUDGET // 10, argv
+                assert max(int(flags["--games"]), oracle._CHUNK) * mean <= oracle.SIMULATION_BUDGET // 10, argv
 
 
 def record_solves(monkeypatch) -> list:
@@ -778,51 +805,66 @@ _BAD_FRACTIONS = ["0/1", "-1/3", "3/2", "1/1", "1/0", "1/2.0", "0.5", "", "1/" +
 
 
 @st.composite
-def alphabet_flags(draw):
+def alphabet_flags(draw, scales=(1, 2, 10**200), max_weight=6):
     """(--alphabet text, labels): 2-3 labels, one of which may be long, multi-character or a duplicate, and weights
     written as fraction literals over a small or a huge denominator, signed or not; sometimes one bad literal."""
     size = draw(st.integers(2, 3))
     labels = draw(st.lists(st.text("HTab0é\n=-", min_size=1, max_size=1), min_size=size, max_size=size, unique=True))
     labels[-1] = draw(st.sampled_from([labels[-1]] * 5 + [labels[-1] + "b", "x" * 150, labels[0]]))
-    weights = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
-    scale = draw(st.sampled_from([1, 2, 10**200]))
+    weights = draw(st.lists(st.integers(1, max_weight), min_size=size, max_size=size))
+    scale = draw(st.sampled_from(scales))
     fractions = [f"{draw(st.sampled_from(['', '+']))}{w * scale}/{sum(weights) * scale}" for w in weights]
     if draw(st.integers(0, 3)) == 3:
         fractions[draw(st.integers(0, size - 1))] = draw(st.sampled_from(_BAD_FRACTIONS))
     return ",".join(f"{a}:{p}" for a, p in zip(labels, fractions)), labels
 
 
+def patterns_flags(texts: list[str], single_char: bool) -> list[str]:
+    """--patterns values for pattern texts: one comma-separated list over single-character labels, else one each."""
+    return [",".join(texts)] if single_char else texts
+
+
 @st.composite
 def contract_requests(draw):
-    """argv for duel or first-passage: 1-3 patterns of 2-4 labels, sometimes with a duplicate, a substring or an
-    unknown symbol; a small --n (always for first-passage, whose default n grows with the mean)."""
-    command = draw(st.sampled_from(["duel", "first-passage"]))
-    alphabet, labels = draw(alphabet_flags())
-    m = draw(st.sampled_from([2, 3, 1] if command == "duel" else [1, 1, 1, 2]))
-    patterns = draw(st.lists(st.lists(st.sampled_from(labels), min_size=2, max_size=4), min_size=m, max_size=m,
-                             unique_by=tuple))
+    """argv for any command in any format: 1-3 patterns of 1-4 labels, sometimes with a duplicate, a substring or an
+    unknown symbol.  Each request is cheap by construction: a small --n (always for first-passage, whose default n
+    grows with the mean) and --length; simulate only over small denominators and weights, with at most 3 symbols a
+    pattern and 50 games, so that the longest of its games stays short."""
+    command = draw(st.sampled_from(["duel", "first-passage", "best-response", "simulate"]))
+    simulate = command == "simulate"
+    alphabet, labels = draw(alphabet_flags(scales=(1, 2), max_weight=3) if simulate else alphabet_flags())
+    m = draw(st.sampled_from([2, 3, 1] if command in ("duel", "simulate") else [1, 1, 1, 2]))
+    patterns = draw(st.lists(st.lists(st.sampled_from(labels), min_size=1, max_size=3 if simulate else 4),
+                             min_size=m, max_size=m, unique_by=tuple))
     mistake = draw(st.integers(0, 7))
     if mistake == 7:
         patterns[-1][-1] = "Q"
     elif mistake == 6:
         patterns[-1] = patterns[0]
     elif mistake == 5:
-        patterns[-1] = patterns[0][draw(st.integers(0, 1)):][:draw(st.integers(1, 3))]  # a substring
-    if all(len(a) == 1 for a in labels):  # bare patterns; with these labels "H,T" would be two patterns
-        pattern_flags = ["--patterns=" + ",".join("".join(p) for p in patterns)]
-    else:
-        pattern_flags = ["--patterns=" + ",".join(p) for p in patterns]
-    n = draw(st.one_of(st.none(), st.integers(0, 10))) if command == "duel" else draw(st.integers(0, 10))
-    flags = [] if n is None else [f"--n={n}"]
-    if command == "duel":
+        patterns[-1] = patterns[0][draw(st.integers(0, 1)):][:draw(st.integers(1, 3))]  # a substring, maybe empty
+    single_char = all(len(a) == 1 for a in labels)
+    texts = ["".join(p) if single_char else ",".join(p) for p in patterns]
+    flags = ["--patterns=" + value for value in patterns_flags(texts, single_char)]
+    if command == "first-passage":
+        flags.append(f"--n={draw(st.integers(0, 10))}")
+    elif command == "duel":
+        n = draw(st.one_of(st.none(), st.integers(0, 10)))
+        flags += [] if n is None else [f"--n={n}"]
         flags.append(f"--method={draw(st.sampled_from(['pgf', 'both'] + ['equilibrium'] * (n is None)))}")
-    return [command, f"--alphabet={alphabet}", *pattern_flags, *flags, "--format=json"]
+    elif command == "best-response":
+        flags.append(f"--length={draw(st.integers(1, 3))}")
+    else:
+        flags += [f"--games={draw(st.integers(1, 50))}", f"--seed={draw(st.integers(0, 2**64 - 1))}"]
+    fmt = draw(st.sampled_from(["json", "json", "table", "csv"]))
+    return [command, f"--alphabet={alphabet}", *flags, f"--format={fmt}"]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(contract_requests())
 def test_every_alphabet_and_pattern_list_gets_an_answer_or_a_brief_error(argv):
-    """The README's contract: exit 0 with JSON, 2 for what does not parse, 3 for what is refused; one short error line."""
+    """The README's contract: exit 0 with the requested format, 2 for what does not parse, 3 for what is refused; one
+    short error line.  The pattern texts of a JSON answer, passed back as the grammar prescribes, read as themselves."""
     out, err, usage = io.StringIO(), io.StringIO(), False
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -831,11 +873,24 @@ def test_every_alphabet_and_pattern_list_gets_an_answer_or_a_brief_error(argv):
             code, usage = exc.code, True
     lines = err.getvalue().splitlines()
     assert code in (0, 2, 3), lines
-    if code == 0:
-        assert json.loads(out.getvalue())["command"] == argv[0] and lines == []
-    else:
+    if code:
         assert [line for line in lines if "error: " in line] == lines[-1:] and (usage or len(lines) == 1), lines
         assert all(len(line.encode()) < 200 for line in lines), lines
+        return
+    assert lines == []
+    fmt = argv[-1].removeprefix("--format=")
+    if fmt == "table":
+        assert out.getvalue().startswith(f"command:  {argv[0]}\n")
+    elif fmt == "csv":
+        assert next(csv.reader(io.StringIO(out.getvalue())))[0] in ("n", "rank", "pattern")
+    else:
+        doc = json.loads(out.getvalue())
+        assert doc["command"] == argv[0]
+        alphabet = parse_alphabet(argv[1].removeprefix("--alphabet="))
+        again = cli.parse_patterns_option(patterns_flags(doc["patterns"], alphabet.single_char), alphabet)
+        assert [p.text for p in again] == doc["patterns"]
+        assert again == cli.parse_patterns_option([a.removeprefix("--patterns=") for a in argv if
+                                                   a.startswith("--patterns=")], alphabet)
 
 
 @pytest.mark.parametrize("flag", ["--patterns=--", "--alphabet=--", "--n=--", "--digits=--", "--method=--"])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from patdual import oracle
 from patdual.oracle import (
     SimReport,
     build_automaton,
@@ -202,6 +203,25 @@ def test_simulate_validates_seed_range():
         with pytest.raises(ValueError):
             simulate(ps, 10, seed=seed)
     assert simulate(ps, 10, seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_simulate_refuses_a_request_over_the_trial_budget_before_any_draw(monkeypatch):
+    def draw(*args):
+        raise AssertionError("the simulator drew")
+
+    monkeypatch.setattr(np.random, "PCG64", draw)
+    # the exact mean duration is 1,000,001,000,001 trials
+    ps = pset("HHH", "HHT", alphabet=Alphabet.coin(F(1, 1_000_000)))
+    with pytest.raises(ValueError, match=r"simulation over budget: .* 1000001000001 exceeds 1073741824 trials"):
+        simulate(ps, 1, seed=0)
+    assert oracle.SIMULATION_BUDGET == 2**30
+
+
+def test_the_simulation_budget_solves_nothing_over_the_automaton(monkeypatch):
+    """The budget's mean is one solve of order m; the chain's solves would grow with the cube of the automaton."""
+    monkeypatch.setattr(oracle, "solve_linear_system", lambda *args: pytest.fail("solved over the automaton"))
+    report = simulate(pset("H" * 400, "T"), 10, seed=0)
+    assert sum(report.wins) == 10
 
 
 # Exact reports of earlier releases, which the simulator must reproduce bit for bit.

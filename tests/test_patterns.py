@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patdual.cli import parse_patterns_option
 from patdual.patterns import (
     Alphabet,
     ParseError,
@@ -136,6 +137,37 @@ def test_pattern_parse_forms_and_errors():
     assert Pattern.parse("10,20,10", wide).text == "10,20,10"
     with pytest.raises(ParseError):
         Pattern.parse("1020", wide)
+
+
+def test_alphabet_labels_hold_no_comma():
+    """A label with a comma would make 'a,b' both two labels and one, so no pattern text could read back."""
+    with pytest.raises(ValueError, match="comma"):
+        Alphabet(("a", "a,b"), (F(1, 2), F(1, 2)))
+
+
+@st.composite
+def alphabets_and_pattern_lists(draw):
+    """An alphabet of 2-4 labels of 1 character, of 2-3 or of 1-3 (mostly mixed), none with a comma, and a list of
+    1-4 patterns of 1-5 symbols over it."""
+    shortest, longest = draw(st.sampled_from([(1, 1), (2, 3), (1, 3)]))
+    labels = draw(st.lists(st.text("HTab01-é ", min_size=shortest, max_size=longest), min_size=2, max_size=4,
+                           unique=True))
+    size = len(labels)
+    alphabet = Alphabet.uniform(labels)
+    symbols = st.lists(st.integers(0, size - 1), min_size=1, max_size=5)
+    return alphabet, [Pattern(alphabet, tuple(s)) for s in draw(st.lists(symbols, min_size=1, max_size=4))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(alphabets_and_pattern_lists())
+def test_every_pattern_text_parses_back_to_its_pattern(case):
+    alphabet, patterns = case
+    for p in patterns:
+        assert Pattern.parse(p.text, alphabet) == p
+    texts = [p.text for p in patterns]
+    # --patterns: one comma-separated list over single-character labels, one pattern a flag otherwise
+    assert parse_patterns_option([",".join(texts)] if alphabet.single_char else texts, alphabet) == patterns
+    assert parse_patterns_option(texts, alphabet) == patterns
 
 
 def test_pattern_set_validation():
