@@ -11,7 +11,12 @@ of the patterns, each reachable by reading it (see build_automaton).
 The simulator draws from numpy's PCG64 generator.  Games are processed in
 fixed chunks of 2**16; chunk c uses the stream seeded by
 SeedSequence([seed, c]), so results depend only on (seed, games) and stay
-identical however the chunks are scheduled.  Each step draws one double u
+identical however the chunks are scheduled.  They are played on up to one
+worker thread per usable core, the calling thread among them, and each
+chunk's integer tallies are summed afterwards, so reports are the same for
+any worker count; with one usable core no thread is started.  numpy
+releases the interpreter lock in the draws, the comparisons and the gather,
+so chunks overlap on a multi-core host.  Each step draws one double u
 per live game, in game order, and the symbol is the number of cumulative
 thresholds <= u (what searchsorted(..., side="right") returns), so reports
 equal those of earlier releases.  Symbol thresholds are double-precision
@@ -20,6 +25,8 @@ floats; the analytic paths are unaffected.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -29,6 +36,7 @@ from .equilibrium import solve_equilibrium
 from .patterns import Pattern, PatternSet, _brief, exact_str
 
 __all__ = [
+    "CHAIN_STATES_BUDGET",
     "SIMULATION_BUDGET",
     "OracleStats",
     "SimReport",
@@ -45,6 +53,9 @@ _CHUNK = 1 << 16
 # simulate refuses a request when max(games, _CHUNK) * mean duration exceeds this:
 # it steps once per trial of a chunk's longest game, for all its games
 SIMULATION_BUDGET = 2**30
+# oracle_win_probs refuses a race whose automaton has more transient states than this: its two
+# dense solves grow faster than the cube of the state count (H*256 against T takes about 0.8 s)
+CHAIN_STATES_BUDGET = 256
 
 
 @dataclass(frozen=True)
@@ -123,10 +134,14 @@ def oracle_win_probs(ps: PatternSet) -> OracleStats:
     (I - Q)^T v = e_0 the expected visits v_s to s from the empty history.
     Pattern j wins with probability sum_s v_s P(s completes j), the mean is
     t_0, and E[T (T + 1) / 2] = sum_s v_s t_s, since each visit to s is
-    followed by t_s trials on average, itself included.
+    followed by t_s trials on average, itself included.  A race whose
+    automaton has more than CHAIN_STATES_BUDGET transient states raises
+    ValueError before either solve.
     """
     auto = build_automaton(ps)
     n = auto.n_transient
+    if n > CHAIN_STATES_BUDGET:
+        raise ValueError(f"absorbing-chain check over budget: {n} transient states exceed {CHAIN_STATES_BUDGET}")
     probs = ps.alphabet.probs
     weights, d = _common_denominator(probs)
     a = [[0] * n for _ in range(n)]
@@ -220,12 +235,22 @@ def check_simulation_budget(ps: PatternSet, games: int) -> None:
                          f"{_brief(exact_str(round(mean)), str)} exceeds {SIMULATION_BUDGET} trials")
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate(ps: PatternSet, games: int, seed: int) -> SimReport:
     """Play `games` races to completion; deterministic for a given seed.
 
     A request over the trial budget is refused before any draw (see
     check_simulation_budget).  See the module docstring for the PRNG and
-    chunking scheme.
+    chunking scheme.  Chunks are shared among min(chunks, usable cores)
+    workers, the calling thread among them; the first exception in any of
+    them stops the chunks not yet played and is raised once every worker
+    has ended, so no thread outlives the call.
     """
     if games < 1:
         raise ValueError("games must be >= 1")
@@ -239,16 +264,24 @@ def simulate(ps: PatternSet, games: int, seed: int) -> SimReport:
     stop = nt * k
     flat = np.array([n * k if n < nt else stop + n - nt for row in auto.transitions for n in row], dtype=np.int64)
     thresholds = np.cumsum(np.array([float(p) for p in ps.alphabet.probs]))[:-1]
-    buf = np.empty(min(games, _CHUNK))
+    n_chunks = -(-games // _CHUNK)
+    unclaimed = iter(range(n_chunks))
+    claim = threading.Lock()
+    failed = threading.Event()
+    tallies: list[tuple[list[int], int, int]] = []
+    errors: list[BaseException] = []
 
-    wins = [0] * len(ps)
-    duration_sum = 0
-    duration_sq_sum = 0
-    for chunk_index, start in enumerate(range(0, games, _CHUNK)):
+    # a worker runs only numpy: bench/tracing.py wraps package functions with a span stack
+    # that is not thread-safe, so every such call stays before the first worker starts
+    def play(chunk_index: int, buf) -> tuple[list[int], int, int]:
+        """Wins, duration sum and duration square sum of one chunk's games."""
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, chunk_index])))
-        state = np.zeros(min(_CHUNK, games - start), dtype=np.int64)  # s*k per live game
+        state = np.zeros(min(_CHUNK, games - chunk_index * _CHUNK), dtype=np.int64)  # s*k per live game
+        wins = [0] * len(ps)
+        duration_sum = 0
+        duration_sq_sum = 0
         t = 0
-        while state.size:
+        while state.size and not failed.is_set():
             t += 1
             u = rng.random(state.size, out=buf[: state.size])
             for th in thresholds:
@@ -262,10 +295,41 @@ def simulate(ps: PatternSet, games: int, seed: int) -> SimReport:
                     duration_sq_sum += t * t * ended
                 nxt = nxt[nxt < stop]
             state = nxt
+        return wins, duration_sum, duration_sq_sum
+
+    def work() -> None:
+        try:
+            buf = np.empty(min(games, _CHUNK))
+            while not failed.is_set():
+                with claim:
+                    chunk_index = next(unclaimed, None)
+                if chunk_index is None:
+                    return
+                tallies.append(play(chunk_index, buf))
+        except BaseException as exc:  # an interrupt too: raised by the caller after every join
+            errors.append(exc)
+            failed.set()
+
+    threads = []
+    try:
+        for _ in range(min(n_chunks, _usable_cores()) - 1):
+            thread = threading.Thread(target=work, name="patdual-simulate")
+            thread.start()
+            threads.append(thread)
+        work()
+    except BaseException:  # a thread that could not start, or an interrupt between starts
+        failed.set()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    wins, sums, squares = zip(*tallies)  # integer tallies, so their order does not matter
     return SimReport(
         games=games,
-        wins=tuple(wins),
-        duration_sum=duration_sum,
-        duration_sq_sum=duration_sq_sum,
+        wins=tuple(map(sum, zip(*wins))),
+        duration_sum=sum(sums),
+        duration_sq_sum=sum(squares),
         seed=seed,
     )

@@ -449,6 +449,14 @@ def test_simulation_over_budget_prints_a_huge_mean_in_brief(capsys, monkeypatch)
     assert len(err.encode()) < 200
 
 
+def test_a_chain_cross_check_over_budget_exits_3_before_any_chain_solve(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "solve_linear_system", lambda *args: pytest.fail("solved over the automaton"))
+    patterns = "H" * (oracle.CHAIN_STATES_BUDGET + 1) + ",T"
+    code, _, err = run(capsys, "duel", "--method", "both", "--alphabet", "H:1/2,T:1/2", "--patterns", patterns)
+    assert code == 3 and "budget" in err
+    assert len(err.encode()) < 200
+
+
 def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch):
     def work(*args):
         raise AssertionError("work started")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import accumulate
@@ -209,7 +210,11 @@ def test_simulate_refuses_a_request_over_the_trial_budget_before_any_draw(monkey
     def draw(*args):
         raise AssertionError("the simulator drew")
 
+    def thread(*args, **kwargs):
+        raise AssertionError("the simulator started a thread")
+
     monkeypatch.setattr(np.random, "PCG64", draw)
+    monkeypatch.setattr(threading, "Thread", thread)
     # the exact mean duration is 1,000,001,000,001 trials
     ps = pset("HHH", "HHT", alphabet=Alphabet.coin(F(1, 1_000_000)))
     with pytest.raises(ValueError, match=r"simulation over budget: .* 1000001000001 exceeds 1073741824 trials"):
@@ -222,6 +227,14 @@ def test_the_simulation_budget_solves_nothing_over_the_automaton(monkeypatch):
     monkeypatch.setattr(oracle, "solve_linear_system", lambda *args: pytest.fail("solved over the automaton"))
     report = simulate(pset("H" * 400, "T"), 10, seed=0)
     assert sum(report.wins) == 10
+
+
+def test_the_chain_check_refuses_a_race_over_its_state_budget_before_any_solve(monkeypatch):
+    monkeypatch.setattr(oracle, "solve_linear_system", lambda *args: pytest.fail("solved over the automaton"))
+    ps = pset("H" * (oracle.CHAIN_STATES_BUDGET + 1), "T")  # one transient state per proper prefix of H...H
+    with pytest.raises(ValueError, match=r"^absorbing-chain check over budget: 257 transient states exceed 256$"):
+        oracle_win_probs(ps)
+    assert oracle.CHAIN_STATES_BUDGET == 256
 
 
 # Exact reports of earlier releases, which the simulator must reproduce bit for bit.
@@ -240,6 +253,55 @@ PINNED_REPORTS = [
 @pytest.mark.parametrize("alphabet, texts, games, seed, wins, total, squares", PINNED_REPORTS)
 def test_simulate_reports_equal_earlier_releases(alphabet, texts, games, seed, wins, total, squares):
     assert simulate(pset(*texts, alphabet=alphabet), games, seed) == SimReport(games, wins, total, squares, seed)
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+def test_a_failing_chunk_ends_the_simulation_and_every_worker(monkeypatch, error):
+    seed_sequence = np.random.SeedSequence
+    started = []
+
+    def failing_on_chunk_1(entropy):
+        started.append(entropy[1])
+        if entropy[1] == 1:
+            raise error("chunk 1")
+        return seed_sequence(entropy)
+
+    monkeypatch.setattr(np.random, "SeedSequence", failing_on_chunk_1)
+    threads = threading.active_count()
+    # games last 128 trials on average, so chunk 0 is still playing when chunk 1 fails on another core
+    with pytest.raises(error, match="chunk 1"):
+        simulate(pset("TTTHTTT", "TTHTTTTHT"), 4 << 16, seed=0)
+    assert threading.active_count() == threads
+    assert 3 not in started
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_simulate_reports_do_not_depend_on_the_worker_count(monkeypatch, cores):
+    monkeypatch.setattr(oracle, "_usable_cores", lambda: cores)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave often, so a lost or doubled chunk would show
+    try:
+        for alphabet, texts, games, seed, wins, total, squares in PINNED_REPORTS:
+            if games > 1 << 16:
+                report = simulate(pset(*texts, alphabet=alphabet), games, seed)
+                assert report == SimReport(games, wins, total, squares, seed)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_simulate_starts_one_thread_per_usable_core_but_its_own(monkeypatch):
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    report = simulate(pset("H", "T"), 40 * (1 << 16) + 1, seed=0)  # 41 chunks of one-flip games
+    assert report.duration_sum == report.games
+    assert len(started) == min(41, oracle._usable_cores()) - 1
+    assert not any(thread.is_alive() for thread in started)
 
 
 def stepped_simulation(ps, games, seed):
