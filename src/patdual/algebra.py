@@ -16,16 +16,17 @@ of num(0), and the terms need no division.
 
 Linear systems are solved over Q only, and by one elimination: each row is
 scaled to integers, and Bareiss's fraction-free elimination (Math. Comp.
-22, 1968), which takes no gcd at all, solves the integer system.  Systems
-over Z[z] (solve_polynomial_system) run the same elimination on each
-polynomial packed into one integer.
+22, 1968), which takes no gcd at all, solves the integer system, and is
+kept to solve later right-hand sides in O(m^2).  Systems over Z[z]
+(solve_polynomial_system) run the same elimination on each polynomial
+packed into one integer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "ExpansionError",
@@ -429,41 +430,59 @@ def solve_linear_system(matrix: Sequence[Sequence[int | Fraction]], rhs: Sequenc
             raise TypeError("solve_linear_system solves over Q (int or Fraction entries); "
                             "use solve_polynomial_system for polynomial entries")
         rows = [_common_denominator(row)[0] for row in rows]
-    y, d = _bareiss(rows)
+    y, d, _ = _bareiss(rows)
     return [Fraction(yi, d) for yi in y]
 
 
-def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
-    """Integers y and d != 0 with A y = d b, for a the m rows of [A | b], by Bareiss elimination.
+def _bareiss(a: list[list[int]]) -> tuple[list[int], int, _Elimination]:
+    """Integers y and d != 0 with A y = d b, for a the m rows of [A | b], by Bareiss elimination; and the elimination.
 
     Every step divides exactly by the previous pivot, so each entry stays an
-    integer minor of the system and no gcd is ever taken.  With d the last
-    pivot (the determinant up to sign), back substitution finds the integers
-    y = d x, which are verified against the system.  The pivot is the first
-    nonzero entry of its column; SingularMatrixError names the first column
-    that has none.  a is not modified.
+    integer minor of the system and no gcd is ever taken.  The pivot is the
+    first nonzero entry of its column; SingularMatrixError names the first
+    column that has none.  The multiplier each step zeroes stays in place of
+    the zero, for `_Elimination.replay`.  a is not modified.
     """
     m = len(a)
-    original, a = a, [row[:] for row in a]
-    previous = 1
+    rows, order, previous = [row[:m] for row in a], list(range(m)), 1
+    matrix = [row[:] for row in rows]
     for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col]), None)
+        pivot = next((r for r in range(col, m) if rows[r][col]), None)
         if pivot is None:
             raise SingularMatrixError(col)
-        a[col], a[pivot] = a[pivot], a[col]
-        top = a[col]
-        for row in a[col + 1:]:
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        order[col], order[pivot] = order[pivot], order[col]
+        top = rows[col]
+        for row in rows[col + 1:]:
             factor = row[col]
-            for c in range(col + 1, m + 1):
+            for c in range(col + 1, m):
                 row[c] = (top[col] * row[c] - factor * top[c]) // previous
-            row[col] = 0
         previous = top[col]
-    y = [0] * m
-    for i in range(m - 1, -1, -1):
-        y[i] = (previous * a[i][m] - sum(a[i][j] * y[j] for j in range(i + 1, m))) // a[i][i]
-    if any(sum(v * yj for v, yj in zip(row, y)) != previous * row[m] for row in original):
-        raise ArithmeticError("linear solve failed verification")
-    return y, previous
+    kept = _Elimination(matrix, rows, order)
+    return (*kept.replay([row[m] for row in a]), kept)
+
+
+class _Elimination(NamedTuple):
+    """A and its Bareiss elimination: pivots on the diagonal, minors above, multipliers below; the row of A at each."""
+
+    matrix: list[list[int]]
+    rows: list[list[int]]
+    order: list[int]
+
+    def replay(self, rhs: Sequence[int]) -> tuple[list[int], int]:
+        """y and d, the last pivot, with A y = d b: the kept steps on b, back substitution, and a check against A."""
+        rows, m = self.rows, len(self.rows)
+        b, previous = [rhs[i] for i in self.order], 1
+        for col, top in enumerate(rows):
+            for r in range(col + 1, m):
+                b[r] = (top[col] * b[r] - rows[r][col] * b[col]) // previous
+            previous = top[col]
+        y = [0] * m
+        for i in range(m - 1, -1, -1):
+            y[i] = (previous * b[i] - sum(rows[i][j] * y[j] for j in range(i + 1, m))) // rows[i][i]
+        if any(sum(v * yj for v, yj in zip(row, y)) != previous * bi for row, bi in zip(self.matrix, rhs)):
+            raise ArithmeticError("linear solve failed verification")
+        return y, previous
 
 
 def solve_polynomial_system(matrix: Sequence[Sequence[Poly]], rhs: Sequence[Poly]) -> tuple[list[Poly], Poly]:
@@ -490,7 +509,7 @@ def solve_polynomial_system(matrix: Sequence[Sequence[Poly]], rhs: Sequence[Poly
         rows.append([[c.numerator * (scale // c.denominator) for c in p] for p in entries])
     bound = prod(max(1, sum(abs(c) for p in row for c in p)) for row in rows)
     k = bound.bit_length() + 1
-    y, d = _bareiss([[_pack(p, k) for p in row] for row in rows])
+    y, d, _ = _bareiss([[_pack(p, k) for p in row] for row in rows])
     y, d = [Poly(_unpack(v, k)) for v in y], Poly(_unpack(d, k))
     for row, b in zip(matrix, rhs):
         if sum((p * yj for p, yj in zip(row, y)), Poly()) != d * b:

@@ -281,12 +281,12 @@ def cmd_best_response(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict
             skipped.append({"pattern": candidate.text, "reason": "contains opponent"})
             continue
         sol = solve_duel(PatternSet(alphabet, (candidate, opponent)))
-        ranked.append((sol.win_probs[0], symbols, candidate))
-    ranked.sort(key=lambda item: (-item[0], item[1]))
+        ranked.append((candidate, sol.win_probs[0]))
+    ranked.sort(key=lambda item: item[1], reverse=True)  # stable: ties keep the ascending symbol order of product
     return {
         "opponent": opponent.text,
         "length": args.length,
-        "candidates": _win_rows(((cand, wp) for wp, _, cand in ranked), args.digits),
+        "candidates": _win_rows(ranked, args.digits),
         "skipped": skipped,
     }
 

@@ -204,7 +204,8 @@ def string_probability(symbols: Sequence[int], alphabet: Alphabet) -> Fraction:
 
 def overlap_shifts(s: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
     """Shifts i >= 1 at which the last i symbols of s equal the first i of w."""
-    return tuple(i for i in range(1, min(len(s), len(w)) + 1) if tuple(s[len(s) - i:]) == tuple(w[:i]))
+    s, w = tuple(s), tuple(w)
+    return tuple(i for i in range(1, min(len(s), len(w)) + 1) if s[len(s) - i:] == w[:i])
 
 
 def _require_same_alphabet(s: Pattern, w: Pattern) -> None:

@@ -22,9 +22,9 @@ D = g / (g + 1 - z).  Every answer is read from one table: per pattern i,
 the overlap shifts and the integers w_l = s_i / P(i[:l]) (s_i the product
 of the symbol numerators over i) that make up row i of s_i N.  The win
 probabilities and the moments need no rational function: u(w) follows
-from integer solves with N(1) (the correlation matrix of Guibas and
-Odlyzko) by Bareiss, and D(1 + w) = g(w) / (g(w) - w) is a power-series
-division.
+from one Bareiss elimination of N(1) (the correlation matrix of Guibas
+and Odlyzko), replayed for u_1 and u_2, and D(1 + w) = g(w) / (g(w) - w)
+is a power-series division.
 
 The rational functions x and D are each built on first read, without
 rational-function elimination: with L the longest pattern, row i of
@@ -40,14 +40,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import comb, ldexp, prod
+from math import comb, gcd, ldexp, prod
 
 from .algebra import (
     Poly,
     RationalFunction,
     SingularMatrixError,
-    _common_denominator,
-    solve_linear_system,
+    _bareiss,
+    _Elimination,
+    solve_linear_system,  # unused here; bench/tracing.py patches pgf.solve_linear_system by name
     solve_polynomial_system,
 )
 from .patterns import Pattern, PatternSet, overlap_shifts, overlap_string
@@ -79,6 +80,12 @@ def build_duel_matrix(ps: PatternSet) -> list[list[RationalFunction]]:
     return [[one / first_passage_pgf(Pattern(ps.alphabet, head)) if head else one for head in row] for row in heads]
 
 
+def _lowest_terms(y: list[int], d: int) -> tuple[list[int], int]:
+    """Integers u and the least e > 0 with u / e = y / d: one gcd."""
+    g = gcd(d, *y) if d > 0 else -gcd(d, *y)
+    return [v // g for v in y], d // g
+
+
 def _sqrt(v: Fraction) -> float:
     """sqrt(v / 4^e) 2^e, e = 0 unless v nears a float's limits, so v may pass them as long as its root does not."""
     e = (v.numerator.bit_length() - v.denominator.bit_length()) // 2  # log4(v), to within 1
@@ -89,10 +96,10 @@ def _sqrt(v: Fraction) -> float:
 class DuelSolution:
     """Everything a race implies, each answer computed when first read and then kept.
 
-    Every answer is read from `_table` (see the module docstring).  The win
-    probabilities and the moments come from integer solves with the
-    row-scaled N(1): win_i = u_0[i] / sum(u_0) with N(1) u_0 = 1, and the
-    k-th factorial moment is k! times the w^k coefficient of D(1 + w).
+    Every answer is read from `_table`.  The win probabilities and the
+    moments come from one Bareiss elimination of the row-scaled N(1), replayed
+    for the moments: win_i = u_0[i] / sum(u_0) with N(1) u_0 = 1, and the k-th
+    factorial moment is k! times the w^k coefficient of D(1 + w).
     `x[i]` generates P(pattern i wins at trial t) and the duration PGF D is
     their sum; each is built on first read from one shared solve with
     z^L N(z).  With one pattern, the same attributes describe its waiting time.
@@ -101,9 +108,9 @@ class DuelSolution:
     def __init__(self, pattern_set: PatternSet):
         self.pattern_set = pattern_set
 
-    def _solve(self, solver, matrix: list[list], rhs: list):
+    def _solve(self, solver, *args):
         try:
-            return solver(matrix, rhs)
+            return solver(*args)
         except SingularMatrixError as exc:
             names = ", ".join(str(p) for p in self.pattern_set.patterns)
             raise SingularMatrixError(exc.column, f"race system singular for patterns {names}") from exc
@@ -116,11 +123,12 @@ class DuelSolution:
         numerators over i[l:]; entry (i, j) of s_i N(z) sums z^(-l) w_l over the shifts l of j into i.
         """
         patterns, probs = self.pattern_set.patterns, self.pattern_set.alphabet.probs
+        nums, dens = [p.numerator for p in probs], [p.denominator for p in probs]
         table = []
         for pat_i in patterns:
-            w = [prod(probs[c].numerator for c in pat_i.symbols)]
+            w = [prod(nums[c] for c in pat_i.symbols)]
             for c in pat_i.symbols:
-                w.append(w[-1] // probs[c].numerator * probs[c].denominator)
+                w.append(w[-1] // nums[c] * dens[c])
             table.append((w, [overlap_shifts(pat_j.symbols, pat_i.symbols) for pat_j in patterns]))
         return table
 
@@ -129,18 +137,14 @@ class DuelSolution:
         return [[(-1) ** t * sum(comb(l + t - 1, t) * w[l] for l in ls) for ls in shifts] for w, shifts in self._table]
 
     @cached_property
-    def _n0(self) -> list[list[int]]:
-        return self._correlation(0)
-
-    @cached_property
-    def _u0(self) -> tuple[list[int], int]:
-        """N(1)^(-1) 1 as integer numerators over one denominator: all that the win probabilities need."""
-        scales = [w[0] for w, _ in self._table]
-        return _common_denominator(self._solve(solve_linear_system, self._n0, scales))
+    def _u0(self) -> tuple[list[int], int, _Elimination]:
+        """N(1)^(-1) 1 as integer numerators over their least common denominator, and N(1)'s elimination, kept."""
+        y, d, kept = self._solve(_bareiss, [[*row, w[0]] for row, (w, _) in zip(self._correlation(0), self._table)])
+        return (*_lowest_terms(y, d), kept)
 
     @cached_property
     def win_probs(self) -> tuple[Fraction, ...]:
-        u0, _ = self._u0
+        u0, _, _ = self._u0
         return tuple(Fraction(ui, sum(u0)) for ui in u0)
 
     @cached_property
@@ -175,12 +179,12 @@ class DuelSolution:
         d_3 needs 1 / g(w) only through w^2, so u_3 is not solved.  Each u_k is kept as integers over one e;
         with g_k read as e g_k: d_1 = e / g_0, d_2 = e (e - g_1) / g_0^2, d_3 = e ((g_1 - e)^2 - g_0 g_2) / g_0^3.
         """
-        n = [self._n0, self._correlation(1), self._correlation(2)]
-        u0, e = self._u0
+        n = [None, self._correlation(1), self._correlation(2)]
+        u0, e, kept = self._u0
         u, m = [u0], len(u0)
         for k in (1, 2):
             rhs = [-sum(n[t][i][j] * u[k - t][j] for t in range(1, k + 1) for j in range(m)) for i in range(m)]
-            uk, f = _common_denominator(self._solve(solve_linear_system, n[0], rhs))  # u_k = uk / (f e)
+            uk, f = _lowest_terms(*kept.replay(rhs))  # u_k = uk / (f e)
             u = [[f * v for v in ui] for ui in u] + [uk]
             e *= f
         g0, g1, g2 = (sum(ui) for ui in u)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import patdual.algebra as algebra
+import patdual.pgf as pgf
 from patdual.algebra import (
     ExpansionError,
     Poly,
@@ -303,6 +304,45 @@ def test_fraction_systems_take_one_integer_elimination(monkeypatch):
     assert solve_linear_system([[2, F(1, 3)], [0, 5]], [F(1, 6), 10]) == [F(-1, 4), F(2)]
     # one call per system: each row of [A | b] scaled by the lcm of its denominators; the row of ints is used as it is
     assert calls == [[[3, 2, 6], [35, -28, 40]], [[12, 2, 1], [0, 5, 10]]]
+
+
+@st.composite
+def integer_systems(draw):
+    """A square integer matrix with some diagonal entries zeroed, which forces row swaps, and two right-hand sides."""
+    m = draw(st.integers(1, 5))
+    a = draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m), min_size=m, max_size=m))
+    for i in draw(st.sets(st.integers(0, m - 1))):
+        a[i][i] = 0
+    vector = st.lists(st.integers(-9, 9), min_size=m, max_size=m)
+    return a, draw(vector), draw(vector)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_systems())
+def test_kept_elimination_replays_on_new_right_hand_sides(system):
+    a, b, c = system
+    m = len(a)
+    try:
+        expected = gaussian_solve([[F(v) for v in row] for row in a], [F(v) for v in b])
+    except SingularMatrixError as exc:
+        with pytest.raises(SingularMatrixError) as got:
+            algebra._bareiss([[*row, v] for row, v in zip(a, b)])
+        assert got.value.column == exc.column
+        return
+    y, d, kept = algebra._bareiss([[*row, v] for row, v in zip(a, b)])
+    assert [F(v, d) for v in y] == expected
+    z, e = kept.replay(c)
+    x = solve_linear_system(a, c)
+    assert e == d and [F(v, d) for v in z] == x
+    # one gcd gives the integers over the least common denominator that the Fractions give
+    assert pgf._lowest_terms(z, d) == algebra._common_denominator(x)
+    if m > 1:
+        # the last step's multiplier, on a b whose entry in that step's pivot row is the only nonzero one
+        kept.rows[m - 1][m - 2] += 1
+        unit = [0] * m
+        unit[kept.order[m - 2]] = 1
+        with pytest.raises(ArithmeticError, match="failed verification"):
+            kept.replay(unit)
 
 
 def test_solve_polynomial_systems_against_rational_function_elimination():

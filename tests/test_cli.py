@@ -194,6 +194,14 @@ def test_best_response_examples(capsys):
     assert "skipped: H (substring of opponent), T (substring of opponent)" in out
 
 
+def test_best_response_ties_keep_ascending_symbol_order(capsys):
+    doc = run_json(capsys, "best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HTH", "--length", "4")
+    ranked = [(row["pattern"], F(row["exact"])) for row in doc["results"]["candidates"]]
+    assert ranked[:4] == [("TTHH", F(5, 12)), ("TTHT", F(5, 12)), ("TTTH", F(5, 12)), ("HHHT", F(2, 5))]
+    # win probabilities descend, and equal ones keep the order in which the candidates were enumerated (H < T)
+    assert all(a[1] > b[1] or (a[1] == b[1] and a[0] < b[0]) for a, b in zip(ranked, ranked[1:]))
+
+
 def test_best_response_long_opponent_includes_strong_counter(capsys):
     doc = run_json(
         capsys, "best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "TTHTTTTHT",
@@ -539,20 +547,35 @@ def test_duel_series_needs_no_rational_function_elimination(capsys, monkeypatch)
 
 @pytest.mark.parametrize("alphabet", ["H:1/101,T:100/101", "A:1/7,B:2/11,C:52/77"])
 def test_race_systems_are_solved_over_the_integers(capsys, alphabet, monkeypatch):
-    calls, eliminations, bareiss = record_solves(monkeypatch), [], algebra._bareiss
-    monkeypatch.setattr(algebra, "_bareiss", lambda rows: eliminations.append((len(calls), rows)) or bareiss(rows))
+    calls, eliminations, replays = record_solves(monkeypatch), [], []
+    bareiss, replay = algebra._bareiss, algebra._Elimination.replay
+    for module in (algebra, pgf):
+        def recorded(rows, module=module):
+            y, d, kept = bareiss(rows)
+            eliminations.append((module, len(calls), rows, kept))
+            return y, d, kept
+
+        monkeypatch.setattr(module, "_bareiss", recorded)
+    monkeypatch.setattr(
+        algebra._Elimination, "replay", lambda self, rhs: replays.append((self, rhs)) or replay(self, rhs)
+    )
     patterns = "HTTH,TTHT,HHH" if alphabet.startswith("H") else "ABC,CAB,BBA"
     doc = run_json(capsys, "duel", "--alphabet", alphabet, "--patterns", patterns, "--method", "both")
     assert doc["results"]["cross_check"] == "ok"
-    # N(1) three times (wins, then u_1 and u_2), the stationary rates once, the chain twice
-    assert [module for module, _, _ in calls].count(pgf) == 3
-    assert {module for module, _, _ in calls} == {pgf, equilibrium, oracle}
+    # N(1) is eliminated by pgf itself; the stationary rates are solved once and the chain twice
+    assert sorted(module.__name__ for module, _, _ in calls) == ["patdual.equilibrium"] + ["patdual.oracle"] * 2
     for module, matrix, rhs in calls:
         if module is not equilibrium:  # the stationary rates pass their Fraction system as it is built
             assert all(type(v) is int for v in rhs) and all(type(v) is int for row in matrix for v in row)
-    # each of the six solves runs exactly one Bareiss elimination, on integer rows
-    assert [call for call, _ in eliminations] == list(range(1, len(calls) + 1)) and len(calls) == 6
-    assert all(type(v) is int for _, rows in eliminations for row in rows for v in row)
+    # each of the three solves runs exactly one Bareiss elimination, and N(1) takes exactly one: all on integer rows
+    assert [call for module, call, _, _ in eliminations if module is algebra] == [1, 2, 3] and len(calls) == 3
+    (n1,) = [kept for module, _, _, kept in eliminations if module is pgf]
+    assert len(n1.matrix) == 3
+    assert all(type(v) is int for _, _, rows, _ in eliminations for row in rows for v in row)
+    # every right-hand side goes through the verified replay: one per elimination, then u_1 and u_2 on N(1)'s
+    counts = [sum(self is kept for self, _ in replays) for *_, kept in eliminations]
+    assert counts == [3 if kept is n1 else 1 for *_, kept in eliminations] and len(replays) == 6
+    assert all(type(v) is int for _, rhs in replays for v in rhs)
 
 
 def test_duel_does_not_import_numpy():

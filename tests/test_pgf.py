@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import patdual.algebra as algebra
 import patdual.pgf as pgf
 from patdual.algebra import Poly, RationalFunction, SingularMatrixError
 from patdual.cli import main
@@ -377,33 +378,51 @@ def test_correlation_route_matches_rational_function_route(ps):
     assert sol.third_central_moment == raw_third - 3 * mean * raw_second + 2 * mean**3
 
 
+def record_eliminations(monkeypatch) -> tuple[list, list]:
+    """The rows of every Bareiss elimination pgf runs, and (elimination, rhs) of every replay anywhere."""
+    eliminations, replays, bareiss, replay = [], [], pgf._bareiss, algebra._Elimination.replay
+    monkeypatch.setattr(pgf, "_bareiss", lambda rows: eliminations.append(rows) or bareiss(rows))
+    monkeypatch.setattr(
+        algebra._Elimination, "replay", lambda self, rhs: replays.append((self, rhs)) or replay(self, rhs)
+    )
+    monkeypatch.setattr(pgf, "solve_linear_system", lambda *args: pytest.fail("a race system solved over Fractions"))
+    return eliminations, replays
+
+
 def test_win_probabilities_alone_cost_one_integer_solve(monkeypatch):
-    calls = []
-    solve = pgf.solve_linear_system
-
-    def recorded(matrix, rhs):
-        calls.append((matrix, rhs))
-        return solve(matrix, rhs)
-
-    monkeypatch.setattr(pgf, "solve_linear_system", recorded)
+    eliminations, replays = record_eliminations(monkeypatch)
     built, correlation = [], DuelSolution._correlation
     monkeypatch.setattr(DuelSolution, "_correlation", lambda self, t: built.append(t) or correlation(self, t))
     sol = solve_duel(pset("TTTHTTT", "TTHTTTTHT", "HTHH"))
-    assert sol.win_probs and len(calls) == 1 and built == [0]  # N_1 and N_2 wait for the moments
-    assert all(type(v) is int for row in calls[0][0] for v in row)
-    sol.mean, sol.variance, sol.third_central_moment, sol.x
-    assert len(calls) == 3  # u_1 and u_2 reuse N(1); u_3 is never needed
-    assert built == [0, 1, 2]  # each N_t built once, and x and D need none of them
+    assert sol.win_probs and len(eliminations) == 1 and len(replays) == 1 and built == [0]  # N_1, N_2 wait
+    assert all(type(v) is int for row in eliminations[0] for v in row)
+    sol.mean, sol.variance, sol.third_central_moment
+    # u_1 and u_2 replay N(1)'s one elimination, each verified; u_3 is never needed
+    kept = sol._u0[2]
+    assert len(eliminations) == 1 and [self for self, _ in replays] == [kept] * 3
+    assert all(type(v) is int for _, rhs in replays for v in rhs)
+    sol.x
+    assert len(eliminations) == 1 and built == [0, 1, 2]  # each N_t built once, and x and D need none of them
 
 
 def test_singular_race_system_names_the_patterns(monkeypatch):
-    def singular(matrix, rhs):
+    def singular(rows):
         raise SingularMatrixError(1)
 
-    monkeypatch.setattr(pgf, "solve_linear_system", singular)
+    monkeypatch.setattr(pgf, "_bareiss", singular)
+    monkeypatch.setattr(pgf, "solve_linear_system", lambda *args: pytest.fail("a race system solved over Fractions"))
     with pytest.raises(SingularMatrixError, match="singular for patterns HH, TH") as exc:
         solve_duel(pset("HH", "TH"))
     assert exc.value.column == 1
+
+
+def test_race_of_every_coin_string_of_length_5_eliminates_once(monkeypatch):
+    eliminations, replays = record_eliminations(monkeypatch)
+    ps = PatternSet(COIN, tuple(Pattern(COIN, s) for s in itertools.product(range(2), repeat=5)))
+    sol = solve_duel(ps)
+    assert (sol.win_probs, sol.mean, sol.variance) == tuple(oracle_win_probs(ps))
+    assert [len(rows) for rows in eliminations] == [32]
+    assert sum(self is sol._u0[2] for self, _ in replays) == 3
 
 
 @st.composite
