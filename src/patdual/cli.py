@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .algebra import ExpansionError, RationalFunction
 from .equilibrium import solve_equilibrium
-from .oracle import check_simulation_budget, oracle_duration, oracle_win_probs, simulate
+from .oracle import oracle_duration, oracle_win_probs, simulate
 from .patterns import (
     Alphabet,
     ParseError,
@@ -132,12 +132,15 @@ def _check_series_budget(alphabet: Alphabet, n: int, digits: int) -> None:
         )
 
 
-def _check_candidates_budget(alphabet: Alphabet, length: int) -> None:
-    """ValueError (exit 3) when best-response would rank more than CANDIDATES_BUDGET candidates."""
+def _check_candidates_budget(alphabet: Alphabet, length: int, digits: int) -> None:
+    """ValueError (exit 3) over CANDIDATES_BUDGET candidates, or SERIES_DIGITS_BUDGET digits at 2 (digits + 3) each."""
     # |alphabet| >= 2, so the first test settles long lengths without computing the power
     if length > CANDIDATES_BUDGET.bit_length() or len(alphabet) ** length > CANDIDATES_BUDGET:
         raise ValueError(f"best-response over budget: {len(alphabet)}^{Decimal(length):.3g} candidates "
                          f"exceed {CANDIDATES_BUDGET}")
+    if len(alphabet) ** length * 2 * (digits + 3) > SERIES_DIGITS_BUDGET:
+        raise ValueError(f"best-response over budget: {len(alphabet)}^{length} candidates at {digits} digits "
+                         f"could print more than {SERIES_DIGITS_BUDGET} digits")
 
 
 def parse_patterns_option(values: list[str], alphabet: Alphabet) -> list[Pattern]:
@@ -225,9 +228,8 @@ def cmd_simulate(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
     if len(patterns) < 2:
         raise PatternSetError("simulate requires at least two patterns")
     ps = PatternSet(alphabet, tuple(patterns))
-    check_simulation_budget(ps, args.games)  # simulate checks too; this refuses before solve_duel
+    report = simulate(ps, args.games, args.seed)  # refuses a request over its budget before any draw
     sol = solve_duel(ps)
-    report = simulate(ps, args.games, args.seed)
 
     rows = []
     for i, p in enumerate(ps.patterns):
@@ -266,7 +268,7 @@ def cmd_best_response(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict
     if len(patterns) != 1:
         raise PatternSetError("best-response requires exactly one opponent pattern")
     opponent = patterns[0]
-    _check_candidates_budget(alphabet, args.length)
+    _check_candidates_budget(alphabet, args.length, args.digits)
     ranked = []
     skipped = []
     for symbols in itertools.product(range(len(alphabet)), repeat=args.length):

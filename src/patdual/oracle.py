@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .algebra import SeriesPrefix, _common_denominator, solve_linear_system
+from .algebra import SeriesPrefix, _bareiss, _common_denominator
+from .algebra import solve_linear_system  # unused here; bench/tracing.py patches oracle.solve_linear_system by name
 from .equilibrium import solve_equilibrium
 from .patterns import Pattern, PatternSet, _brief, exact_str
 
@@ -53,8 +54,8 @@ _CHUNK = 1 << 16
 # simulate refuses a request when max(games, _CHUNK) * mean duration exceeds this:
 # it steps once per trial of a chunk's longest game, for all its games
 SIMULATION_BUDGET = 2**30
-# oracle_win_probs refuses a race whose automaton has more transient states than this: its two
-# dense solves grow faster than the cube of the state count (H*256 against T takes about 0.8 s)
+# oracle_win_probs refuses a race whose automaton has more transient states than this: its one
+# dense elimination grows faster than the cube of the state count (H*256 against T takes about 0.5 s)
 CHAIN_STATES_BUDGET = 256
 
 
@@ -128,39 +129,36 @@ class OracleStats(NamedTuple):
 def oracle_win_probs(ps: PatternSet) -> OracleStats:
     """Exact absorption probabilities and the mean/variance of the hit time.
 
-    Two solves with the integer matrix d (I - Q), where d is the least
-    common denominator of the symbol probabilities: (I - Q) t = 1 gives the
-    expected trials t_s to absorption from each transient state s, and
-    (I - Q)^T v = e_0 the expected visits v_s to s from the empty history.
-    Pattern j wins with probability sum_s v_s P(s completes j), the mean is
-    t_0, and E[T (T + 1) / 2] = sum_s v_s t_s, since each visit to s is
-    followed by t_s trials on average, itself included.  A race whose
-    automaton has more than CHAIN_STATES_BUDGET transient states raises
-    ValueError before either solve.
+    One Bareiss elimination of the integer matrix d (I - Q)^T, d the least
+    common denominator of the symbol probabilities, gives the expected
+    visits v_s to each transient state s from the empty history,
+    (I - Q)^T v = e_0, and one replay on v gives w with (I - Q)^T w = v.
+    Every trial leaves a transient state, so the mean is sum v; pattern j
+    wins with probability sum_s v_s P(s completes j); E[T (T + 1) / 2] =
+    sum w = sum_s v_s t_s, as each visit to s is followed by t_s trials on
+    average, itself included.  A race whose automaton has more than
+    CHAIN_STATES_BUDGET transient states raises ValueError before elimination.
     """
     auto = build_automaton(ps)
     n = auto.n_transient
     if n > CHAIN_STATES_BUDGET:
         raise ValueError(f"absorbing-chain check over budget: {n} transient states exceed {CHAIN_STATES_BUDGET}")
-    probs = ps.alphabet.probs
-    weights, d = _common_denominator(probs)
-    a = [[0] * n for _ in range(n)]
-    for s in range(n):
-        a[s][s] += d
-        for c, nxt in enumerate(auto.transitions[s]):
+    weights, d = _common_denominator(ps.alphabet.probs)
+    rows = [[d * (c == s) for c in range(n)] + [d * (s == 0)] for s in range(n)]  # [d (I - Q)^T | d e_0]
+    for s, row in enumerate(auto.transitions):
+        for w, nxt in zip(weights, row):
             if nxt < n:
-                a[s][nxt] -= weights[c]
-
-    steps = solve_linear_system(a, [d] * n)
-    visits = solve_linear_system([list(col) for col in zip(*a)], [d] + [0] * (n - 1))
-    wins = [Fraction(0)] * len(ps)
-    for s in range(n):
-        for c, nxt in enumerate(auto.transitions[s]):
+                rows[nxt][s] -= w
+    visits, e, kept = _bareiss(rows)  # v = visits / e
+    again, _ = kept.replay(visits)  # w = d again / e^2
+    wins = [0] * len(ps)
+    for v, row in zip(visits, auto.transitions):
+        for w, nxt in zip(weights, row):
             if nxt >= n:
-                wins[nxt - n] += visits[s] * probs[c]
-    mean = steps[0]
-    second = 2 * sum(v * t for v, t in zip(visits, steps)) - mean  # E[T^2]
-    return OracleStats(tuple(wins), mean, second - mean * mean)
+                wins[nxt - n] += v * w
+    mean = Fraction(sum(visits), e)
+    second = Fraction(2 * d * sum(again), e * e) - mean  # E[T^2]
+    return OracleStats(tuple(Fraction(x, d * e) for x in wins), mean, second - mean * mean)
 
 
 def oracle_duration(ps: PatternSet, n: int, head_start: Sequence[int] = ()) -> SeriesPrefix:
@@ -226,7 +224,7 @@ def check_simulation_budget(ps: PatternSet, games: int) -> None:
     """ValueError when simulating `games` races over ps could take more than SIMULATION_BUDGET trials.
 
     The mean duration comes from the stationary-rate route, one solve of
-    order len(ps); the chain's solves grow with the cube of the automaton,
+    order len(ps); the chain's elimination grows with the cube of the automaton,
     which a long pattern against a short one makes large at a small mean.
     """
     mean = solve_equilibrium(ps).expected_duration

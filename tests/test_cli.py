@@ -433,32 +433,45 @@ def test_method_both_checks_the_series_by_occupancy_dp(capsys, monkeypatch):
     assert checked == [cli.CHECKED_TERMS]
 
 
-def test_simulation_over_budget_exits_3_without_simulating(capsys, monkeypatch):
-    def simulate(*args):
-        raise AssertionError("simulate ran")
+def refuse_simulation_work(monkeypatch) -> None:
+    """Make building the simulator's automaton and solving the race fail: a refused request does neither."""
+    monkeypatch.setattr(oracle, "build_automaton", lambda *args: pytest.fail("the automaton was built"))
+    monkeypatch.setattr(cli, "solve_duel", lambda *args: pytest.fail("the race was solved"))
 
-    monkeypatch.setattr(cli, "simulate", simulate)
+
+def test_simulation_over_budget_exits_3_without_simulating(capsys, monkeypatch):
+    refuse_simulation_work(monkeypatch)
     # the exact mean duration is 1,000,001,000,001 trials
     code, _, err = run(
         capsys, "simulate", "--alphabet", "H:1/1000000,T:999999/1000000", "--patterns", "HHH,HHT",
         "--games", "1",
     )
     assert code == 3 and "budget" in err
+    assert err.count("\n") == 1 and len(err.encode()) < 200
 
 
 def test_simulation_over_budget_prints_a_huge_mean_in_brief(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "simulate", lambda *args: pytest.fail("simulate ran"))
+    refuse_simulation_work(monkeypatch)
     # the exact mean duration is about 10^400 trials
     code, _, err = run(
         capsys, "simulate", "--alphabet", f"H:1/{10**200},T:{10**200 - 1}/{10**200}", "--patterns", "HHH,HHT",
         "--games", "1",
     )
     assert code == 3 and "budget" in err and "(401 characters)" in err
-    assert len(err.encode()) < 200
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
+def test_an_admitted_simulation_solves_its_stationary_rates_once(capsys, monkeypatch):
+    calls, solve = [], oracle.solve_equilibrium
+    monkeypatch.setattr(oracle, "solve_equilibrium", lambda ps: calls.append(ps) or solve(ps))
+    doc = run_json(capsys, "simulate", "--alphabet", "H:1/2,T:1/2", "--patterns", "HHT,THH", "--games", "100")
+    assert doc["results"]["games"] == 100
+    assert len(calls) == 1  # the budget's mean; the race itself is solved by solve_duel
 
 
 def test_a_chain_cross_check_over_budget_exits_3_before_any_chain_solve(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "solve_linear_system", lambda *args: pytest.fail("solved over the automaton"))
+    monkeypatch.setattr(oracle, "_bareiss", lambda *args: pytest.fail("eliminated over the automaton"))
     patterns = "H" * (oracle.CHAIN_STATES_BUDGET + 1) + ",T"
     code, _, err = run(capsys, "duel", "--method", "both", "--alphabet", "H:1/2,T:1/2", "--patterns", patterns)
     assert code == 3 and "budget" in err
@@ -480,6 +493,10 @@ def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch)
         ["first-passage", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH", "--n", "2000", "--digits", "17000"],
         ["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HHT", "--length", "22"],
         ["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HHT", "--length", str(10**9)],
+        # 1,024 and 65,536 candidates under the candidate budget, but 41 MB and 265 MB of digits
+        ["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "H" * 12, "--length", "10", "--digits", "20000",
+         "--format", "csv"],
+        ["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "H" * 17, "--length", "16", "--digits", "2000"],
         # default --n = 4 * ceil(mean), about 4 * 10^400: past the float range
         ["first-passage", "--alphabet", f"H:1/{10**200},T:{10**200 - 1}/{10**200}", "--patterns", "HH"],
         # default --n = 4 * (2^1601 - 2): refused from the mean alone, before the PGF is built
@@ -509,7 +526,7 @@ def test_benchmark_decks_are_ten_times_under_the_work_budgets(monkeypatch):
             if "--n" in flags:
                 cli._check_series_budget(alphabet, int(flags["--n"]), int(flags.get("--digits", 4)))
             if "--length" in flags:
-                cli._check_candidates_budget(alphabet, int(flags["--length"]))
+                cli._check_candidates_budget(alphabet, int(flags["--length"]), int(flags.get("--digits", 4)))
             if argv[0] == "simulate":
                 patterns = tuple(Pattern.parse(text, alphabet) for text in flags["--patterns"].split(","))
                 mean = pgf.solve_duel(PatternSet(alphabet, patterns)).mean
@@ -549,7 +566,7 @@ def test_duel_series_needs_no_rational_function_elimination(capsys, monkeypatch)
 def test_race_systems_are_solved_over_the_integers(capsys, alphabet, monkeypatch):
     calls, eliminations, replays = record_solves(monkeypatch), [], []
     bareiss, replay = algebra._bareiss, algebra._Elimination.replay
-    for module in (algebra, pgf):
+    for module in (algebra, pgf, oracle):
         def recorded(rows, module=module):
             y, d, kept = bareiss(rows)
             eliminations.append((module, len(calls), rows, kept))
@@ -562,19 +579,23 @@ def test_race_systems_are_solved_over_the_integers(capsys, alphabet, monkeypatch
     patterns = "HTTH,TTHT,HHH" if alphabet.startswith("H") else "ABC,CAB,BBA"
     doc = run_json(capsys, "duel", "--alphabet", alphabet, "--patterns", patterns, "--method", "both")
     assert doc["results"]["cross_check"] == "ok"
-    # N(1) is eliminated by pgf itself; the stationary rates are solved once and the chain twice
-    assert sorted(module.__name__ for module, _, _ in calls) == ["patdual.equilibrium"] + ["patdual.oracle"] * 2
-    for module, matrix, rhs in calls:
-        if module is not equilibrium:  # the stationary rates pass their Fraction system as it is built
-            assert all(type(v) is int for v in rhs) and all(type(v) is int for row in matrix for v in row)
-    # each of the three solves runs exactly one Bareiss elimination, and N(1) takes exactly one: all on integer rows
-    assert [call for module, call, _, _ in eliminations if module is algebra] == [1, 2, 3] and len(calls) == 3
+    # N(1) is eliminated by pgf itself and the chain by oracle itself; only the stationary rates,
+    # which pass their Fraction system as it is built, go through solve_linear_system, once
+    assert [module for module, _, _ in calls] == [equilibrium]
+    # the stationary-rate solve runs exactly one Bareiss elimination, N(1) and the chain one each: all on integer rows
+    assert [call for module, call, _, _ in eliminations if module is algebra] == [1]
     (n1,) = [kept for module, _, _, kept in eliminations if module is pgf]
-    assert len(n1.matrix) == 3
+    (chain,) = [kept for module, _, _, kept in eliminations if module is oracle]
+    assert len(n1.matrix) == 3 and len(eliminations) == 3
+    symbols = parse_alphabet(alphabet)
+    ps = PatternSet(symbols, tuple(Pattern.parse(text, symbols) for text in patterns.split(",")))
+    assert len(chain.matrix) == oracle.build_automaton(ps).n_transient
     assert all(type(v) is int for _, _, rows, _ in eliminations for row in rows for v in row)
-    # every right-hand side goes through the verified replay: one per elimination, then u_1 and u_2 on N(1)'s
+    # every right-hand side goes through the verified replay: one per elimination, then u_1 and u_2
+    # on N(1)'s and the second visits on the chain's
     counts = [sum(self is kept for self, _ in replays) for *_, kept in eliminations]
-    assert counts == [3 if kept is n1 else 1 for *_, kept in eliminations] and len(replays) == 6
+    assert counts == [3 if kept is n1 else 2 if kept is chain else 1 for *_, kept in eliminations]
+    assert len(replays) == 6
     assert all(type(v) is int for _, rhs in replays for v in rhs)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from patdual import oracle
@@ -112,33 +112,42 @@ def test_win_probs_long_pair():
     assert stats.mean == F(9110, 71)
 
 
-def test_win_probs_match_per_pattern_absorption_systems():
+@st.composite
+def chain_races(draw):
+    """Valid sets of 1-4 patterns of length 1-7 over the fair, 1/3 and 1/10^6 coins and THREE.
+
+    A drawn text inside another drawn text is dropped, so every draw is a valid set.
+    """
+    alphabet = draw(st.sampled_from([COIN, BIASED, Alphabet.coin(F(1, 10**6)), THREE]))
+    texts = set(draw(st.lists(st.text("".join(alphabet.symbols), min_size=1, max_size=7), min_size=1, max_size=4)))
+    return pset(*sorted(t for t in texts if not any(t != u and t in u for u in texts)), alphabet=alphabet)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_races())
+@example(pset("HH", "TH"))
+@example(pset("TTTHTTT", "TTHTTTTHT"))
+@example(pset("TTH", "THHH", "HHHH", "HTHTH", alphabet=BIASED))
+@example(pset("ABAACAC", "CBBCBAAC", alphabet=THREE))
+@example(pset("CCA", "ABB", "BAA", "AABC", alphabet=THREE))
+def test_win_probs_match_per_pattern_absorption_systems(ps):
     # the textbook systems over Fractions: (I - Q) b_j = r_j for each pattern's
     # absorption, (I - Q) t = 1 for the mean and (I - Q) s = 1 + 2 Q t for E[T^2]
-    biased = Alphabet.coin(F(1, 3))
-    three = Alphabet(("A", "B", "C"), (F(1, 2), F(1, 3), F(1, 6)))
-    for ps in (
-        pset("HH", "TH"),
-        pset("TTTHTTT", "TTHTTTTHT"),
-        pset("TTH", "THHH", "HHHH", "HTHTH", alphabet=biased),
-        pset("ABAACAC", "CBBCBAAC", alphabet=three),
-        pset("CCA", "ABB", "BAA", "AABC", alphabet=three),
-    ):
-        auto = build_automaton(ps)
-        n, probs = auto.n_transient, ps.alphabet.probs
-        a = [[F(int(r == c)) for c in range(n)] for r in range(n)]
-        reach = [[F(0)] * len(ps) for _ in range(n)]
-        for s, row in enumerate(auto.transitions):
-            for c, nxt in enumerate(row):
-                if nxt < n:
-                    a[s][nxt] -= probs[c]
-                else:
-                    reach[s][nxt - n] += probs[c]
-        wins = tuple(gaussian_solve(a, [r[j] for r in reach])[0] for j in range(len(ps)))
-        t = gaussian_solve(a, [F(1)] * n)
-        q_t = [sum((probs[c] * t[nxt] for c, nxt in enumerate(row) if nxt < n), F(0)) for row in auto.transitions]
-        second = gaussian_solve(a, [1 + 2 * v for v in q_t])[0]
-        assert oracle_win_probs(ps) == (wins, t[0], second - t[0] ** 2)
+    auto = build_automaton(ps)
+    n, probs = auto.n_transient, ps.alphabet.probs
+    a = [[F(int(r == c)) for c in range(n)] for r in range(n)]
+    reach = [[F(0)] * len(ps) for _ in range(n)]
+    for s, row in enumerate(auto.transitions):
+        for c, nxt in enumerate(row):
+            if nxt < n:
+                a[s][nxt] -= probs[c]
+            else:
+                reach[s][nxt - n] += probs[c]
+    wins = tuple(gaussian_solve(a, [r[j] for r in reach])[0] for j in range(len(ps)))
+    t = gaussian_solve(a, [F(1)] * n)
+    q_t = [sum((probs[c] * t[nxt] for c, nxt in enumerate(row) if nxt < n), F(0)) for row in auto.transitions]
+    second = gaussian_solve(a, [1 + 2 * v for v in q_t])[0]
+    assert oracle_win_probs(ps) == (wins, t[0], second - t[0] ** 2)
 
 
 def test_first_passage_single_symbol_is_geometric():
@@ -223,14 +232,16 @@ def test_simulate_refuses_a_request_over_the_trial_budget_before_any_draw(monkey
 
 
 def test_the_simulation_budget_solves_nothing_over_the_automaton(monkeypatch):
-    """The budget's mean is one solve of order m; the chain's solves would grow with the cube of the automaton."""
+    """The budget's mean is one solve of order m; the chain's elimination would grow with the cube of the automaton."""
     monkeypatch.setattr(oracle, "solve_linear_system", lambda *args: pytest.fail("solved over the automaton"))
+    monkeypatch.setattr(oracle, "_bareiss", lambda *args: pytest.fail("eliminated over the automaton"))
     report = simulate(pset("H" * 400, "T"), 10, seed=0)
     assert sum(report.wins) == 10
 
 
 def test_the_chain_check_refuses_a_race_over_its_state_budget_before_any_solve(monkeypatch):
     monkeypatch.setattr(oracle, "solve_linear_system", lambda *args: pytest.fail("solved over the automaton"))
+    monkeypatch.setattr(oracle, "_bareiss", lambda *args: pytest.fail("eliminated over the automaton"))
     ps = pset("H" * (oracle.CHAIN_STATES_BUDGET + 1), "T")  # one transient state per proper prefix of H...H
     with pytest.raises(ValueError, match=r"^absorbing-chain check over budget: 257 transient states exceed 256$"):
         oracle_win_probs(ps)
