@@ -43,7 +43,7 @@ from .patterns import (
     exact_str,
     parse_alphabet,
 )
-from .pgf import DuelSolution, first_passage_pgf, solve_duel
+from .pgf import DuelSolution, _response_wins, first_passage_pgf, solve_duel
 
 __all__ = ["main"]
 
@@ -75,8 +75,13 @@ def decimal_str(x: Fraction, digits: int) -> str:
     """Fixed-point decimal rendering with round-half-even; a value that rounds to 0 has no sign."""
     if digits < 0:
         raise ValueError("digits must be >= 0")
+    return _rounded_str(x, digits, digits)
+
+
+def _rounded_str(x: Fraction, scale: int, digits: int) -> str:
+    """|x| * 10**scale rounded half to even, rendered with `digits` decimals and x's sign unless it rounds to 0."""
     num, den = x.numerator, x.denominator
-    scaled, rest = divmod(abs(num) * 10**digits, den)
+    scaled, rest = divmod(abs(num) * 10**scale, den)
     if 2 * rest > den or (2 * rest == den and scaled % 2):
         scaled += 1
     return _fixed_point(scaled, digits, num < 0 and scaled > 0)
@@ -97,7 +102,8 @@ def sqrt_str(x: Fraction, digits: int, negative: bool = False) -> str:
 
 
 def percent_str(x: Fraction, digits: int) -> str:
-    return decimal_str(x * 100, max(digits - 2, 0)) + "%"
+    """decimal_str(100 x, max(digits - 2, 0)) + "%", without forming 100 x: x rounded at max(digits, 2) places."""
+    return _rounded_str(x, max(digits, 2), max(digits - 2, 0)) + "%"
 
 
 def _exact_decimal(x: Fraction, digits: int) -> dict:
@@ -132,15 +138,18 @@ def _check_series_budget(alphabet: Alphabet, n: int, digits: int) -> None:
         )
 
 
-def _check_candidates_budget(alphabet: Alphabet, length: int, digits: int) -> None:
-    """ValueError (exit 3) over CANDIDATES_BUDGET candidates, or SERIES_DIGITS_BUDGET digits at 2 (digits + 3) each."""
+def _check_candidates_budget(alphabet: Alphabet, length: int, opponent_length: int, digits: int) -> None:
+    """ValueError (exit 3) over CANDIDATES_BUDGET candidates, or if they could print more than SERIES_DIGITS_BUDGET."""
     # |alphabet| >= 2, so the first test settles long lengths without computing the power
-    if length > CANDIDATES_BUDGET.bit_length() or len(alphabet) ** length > CANDIDATES_BUDGET:
+    if length > CANDIDATES_BUDGET.bit_length() or (count := len(alphabet) ** length) > CANDIDATES_BUDGET:
         raise ValueError(f"best-response over budget: {len(alphabet)}^{Decimal(length):.3g} candidates "
                          f"exceed {CANDIDATES_BUDGET}")
-    if len(alphabet) ** length * 2 * (digits + 3) > SERIES_DIGITS_BUDGET:
-        raise ValueError(f"best-response over budget: {len(alphabet)}^{length} candidates at {digits} digits "
-                         f"could print more than {SERIES_DIGITS_BUDGET} digits")
+    q, total = math.lcm(*(p.denominator for p in alphabet.probs)), length + opponent_length
+    # per candidate: 2 (digits + 3) decimal and percent characters, and u_A / (u_A + u_B), each <= 2 total q^total
+    printed = count * (2 * (digits + 3) + 2 * (math.log10(2 * total) + total * math.log10(q) + 1) + 1)
+    if printed > SERIES_DIGITS_BUDGET:
+        raise ValueError(f"best-response over budget: {len(alphabet)}^{length} candidates at {digits} digits against "
+                         f"{opponent_length} symbols over q = {Decimal(q):.3g} could print {printed:.3g} digits")
 
 
 def parse_patterns_option(values: list[str], alphabet: Alphabet) -> list[Pattern]:
@@ -268,23 +277,20 @@ def cmd_best_response(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict
     if len(patterns) != 1:
         raise PatternSetError("best-response requires exactly one opponent pattern")
     opponent = patterns[0]
-    _check_candidates_budget(alphabet, args.length, args.digits)
-    ranked = []
-    skipped = []
+    _check_candidates_budget(alphabet, args.length, len(opponent), args.digits)
+    admitted, skipped = [], []  # by PatternSet's rules for a pair, checked here so that each skip has its reason
     for symbols in itertools.product(range(len(alphabet)), repeat=args.length):
         candidate = Pattern(alphabet, symbols)
         if symbols == opponent.symbols:
             skipped.append({"pattern": candidate.text, "reason": "identical to opponent"})
-            continue
-        if _contains(opponent.symbols, symbols):
+        elif _contains(opponent.symbols, symbols):
             skipped.append({"pattern": candidate.text, "reason": "substring of opponent"})
-            continue
-        if _contains(symbols, opponent.symbols):
+        elif _contains(symbols, opponent.symbols):
             skipped.append({"pattern": candidate.text, "reason": "contains opponent"})
-            continue
-        sol = solve_duel(PatternSet(alphabet, (candidate, opponent)))
-        ranked.append((candidate, sol.win_probs[0]))
-    ranked.sort(key=lambda item: item[1], reverse=True)  # stable: ties keep the ascending symbol order of product
+        else:
+            admitted.append(candidate)
+    wins = _response_wins(alphabet, opponent.symbols, [c.symbols for c in admitted])
+    ranked = sorted(zip(admitted, wins), key=lambda item: item[1], reverse=True)  # stable: ties keep product's order
     return {
         "opponent": opponent.text,
         "length": args.length,

@@ -208,14 +208,10 @@ def overlap_shifts(s: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
     return tuple(i for i in range(1, min(len(s), len(w)) + 1) if s[len(s) - i:] == w[:i])
 
 
-def _require_same_alphabet(s: Pattern, w: Pattern) -> None:
-    if s.alphabet != w.alphabet:
-        raise ValueError("patterns use different alphabets")
-
-
 def correlation_set(s: Pattern, w: Pattern) -> tuple[int, ...]:
     """Ascending shifts at which a suffix of s coincides with a prefix of w."""
-    _require_same_alphabet(s, w)
+    if s.alphabet != w.alphabet:
+        raise ValueError("patterns use different alphabets")
     return overlap_shifts(s.symbols, w.symbols)
 
 

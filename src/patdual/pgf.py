@@ -19,12 +19,15 @@ The race matrix factors as M(z) = J + (1 - z) N(z), with J all ones and
 N_ij(z) = sum_l z^(-l) / P(i[:l]) over the overlap shifts l of j into i.
 With u = N^(-1) 1 and g = sum(u), x = u / (g + 1 - z) and
 D = g / (g + 1 - z).  Every answer is read from one table: per pattern i,
-the overlap shifts and the integers w_l = s_i / P(i[:l]) (s_i the product
-of the symbol numerators over i) that make up row i of s_i N.  The win
-probabilities and the moments need no rational function: u(w) follows
-from one Bareiss elimination of N(1) (the correlation matrix of Guibas
-and Odlyzko), replayed for u_1 and u_2, and D(1 + w) = g(w) / (g(w) - w)
-is a power-series division.
+the overlap shifts and its `_weights`, the integers w_l = s_i / P(i[:l])
+(s_i the product of the symbol numerators over i) that make up row i of
+s_i N.  The win probabilities and the moments need no rational function:
+u(w) follows from one Bareiss elimination of N(1) (the correlation matrix
+of Guibas and Odlyzko), replayed for u_1 and u_2, and D(1 + w) =
+g(w) / (g(w) - w) is a power-series division.  `_solve_n0` eliminates
+every race's N(1) and checks u_0 > 0 (a pattern wins if it opens the game).
+Best-response's `_response_wins` builds the opponent's weights and shifts
+once, then each candidate's 2 x 2 table for `_solve_n0`: no DuelSolution.
 
 The rational functions x and D are each built on first read, without
 rational-function elimination: with L the longest pattern, row i of
@@ -38,6 +41,7 @@ With m = 1, y = s and det = s N(z) z^L, which gives F(z) above.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, ldexp, prod
@@ -51,7 +55,7 @@ from .algebra import (
     solve_linear_system,  # unused here; bench/tracing.py patches pgf.solve_linear_system by name
     solve_polynomial_system,
 )
-from .patterns import Pattern, PatternSet, overlap_shifts, overlap_string
+from .patterns import Alphabet, Pattern, PatternSet, SymbolSeq, overlap_shifts, overlap_string
 
 __all__ = [
     "DuelSolution",
@@ -86,6 +90,23 @@ def _lowest_terms(y: list[int], d: int) -> tuple[list[int], int]:
     return [v // g for v in y], d // g
 
 
+def _weights(symbols: SymbolSeq, nums: list[int], dens: list[int]) -> list[int]:
+    """w_l = s / P(symbols[:l]), l = 0 .. len(symbols): the denominators over symbols[:l], numerators over the rest."""
+    w = [prod(nums[c] for c in symbols)]
+    for c in symbols:
+        w.append(w[-1] // nums[c] * dens[c])
+    return w
+
+
+def _solve_n0(table) -> tuple[list[int], int, _Elimination]:
+    """N(1)^(-1) 1 from a race's table as integers u_0 > 0, checked, over their least e > 0; and the elimination."""
+    y, d, kept = _bareiss([[*(sum(w[l] for l in ls) for ls in shifts), w[0]] for w, shifts in table])
+    u, e = _lowest_terms(y, d)
+    if min(u) <= 0:
+        raise ArithmeticError("win probabilities are not all positive; inputs violate an invariant")
+    return u, e, kept
+
+
 def _sqrt(v: Fraction) -> float:
     """sqrt(v / 4^e) 2^e, e = 0 unless v nears a float's limits, so v may pass them as long as its root does not."""
     e = (v.numerator.bit_length() - v.denominator.bit_length()) // 2  # log4(v), to within 1
@@ -96,10 +117,10 @@ def _sqrt(v: Fraction) -> float:
 class DuelSolution:
     """Everything a race implies, each answer computed when first read and then kept.
 
-    Every answer is read from `_table`.  The win probabilities and the
-    moments come from one Bareiss elimination of the row-scaled N(1), replayed
-    for the moments: win_i = u_0[i] / sum(u_0) with N(1) u_0 = 1, and the k-th
-    factorial moment is k! times the w^k coefficient of D(1 + w).
+    Every answer is read from `_table`, built by `_weights` as best-response's
+    tables are.  Win probabilities and moments come from one elimination of the
+    row-scaled N(1) by `_solve_n0`, replayed for the moments: win_i = u_0[i] /
+    sum(u_0), N(1) u_0 = 1, and factorial moment k is k! [w^k] D(1 + w).
     `x[i]` generates P(pattern i wins at trial t) and the duration PGF D is
     their sum; each is built on first read from one shared solve with
     z^L N(z).  With one pattern, the same attributes describe its waiting time.
@@ -117,20 +138,10 @@ class DuelSolution:
 
     @cached_property
     def _table(self) -> list[tuple[list[int], list[tuple[int, ...]]]]:
-        """Per pattern i: w_l = s_i / P(i[:l]) for l = 0 .. len(i), and the overlap shifts of each j into i.
-
-        w_0 = s_i, the product of the symbol numerators over i, so w_l is the denominators over i[:l] times the
-        numerators over i[l:]; entry (i, j) of s_i N(z) sums z^(-l) w_l over the shifts l of j into i.
-        """
-        patterns, probs = self.pattern_set.patterns, self.pattern_set.alphabet.probs
+        """Per pattern i: its `_weights`, and the overlap shifts of each j into i."""
+        ps, probs = self.pattern_set.patterns, self.pattern_set.alphabet.probs
         nums, dens = [p.numerator for p in probs], [p.denominator for p in probs]
-        table = []
-        for pat_i in patterns:
-            w = [prod(nums[c] for c in pat_i.symbols)]
-            for c in pat_i.symbols:
-                w.append(w[-1] // nums[c] * dens[c])
-            table.append((w, [overlap_shifts(pat_j.symbols, pat_i.symbols) for pat_j in patterns]))
-        return table
+        return [(_weights(i.symbols, nums, dens), [overlap_shifts(j.symbols, i.symbols) for j in ps]) for i in ps]
 
     def _correlation(self, t: int) -> list[list[int]]:
         """Row i of N_t, the w^t coefficient of N(1 + w), times s_i; (1 + w)^(-l) gives (-1)^t C(l + t - 1, t)."""
@@ -139,8 +150,7 @@ class DuelSolution:
     @cached_property
     def _u0(self) -> tuple[list[int], int, _Elimination]:
         """N(1)^(-1) 1 as integer numerators over their least common denominator, and N(1)'s elimination, kept."""
-        y, d, kept = self._solve(_bareiss, [[*row, w[0]] for row, (w, _) in zip(self._correlation(0), self._table)])
-        return (*_lowest_terms(y, d), kept)
+        return self._solve(_solve_n0, self._table)
 
     @cached_property
     def win_probs(self) -> tuple[Fraction, ...]:
@@ -232,8 +242,16 @@ class DuelSolution:
 
 def solve_duel(ps: PatternSet) -> DuelSolution:
     """Solve the race for its win probabilities; moments, x and the duration PGF come on first use."""
-    sol = DuelSolution(ps)
-    # pattern i wins whenever its own string opens the game, so no win is 0
-    if sum(sol.win_probs) != 1 or min(sol.win_probs) <= 0:
-        raise ArithmeticError("win probabilities are not positive and summing to 1; inputs violate an invariant")
+    (sol := DuelSolution(ps))._u0  # N(1) is eliminated and u_0 > 0 checked here, so that a bad race fails at once
     return sol
+
+
+def _response_wins(alphabet: Alphabet, opponent: SymbolSeq, candidates: Iterable[SymbolSeq]) -> Iterator[Fraction]:
+    """Each candidate's win probability against opponent, neither a substring of the other (see module docstring)."""
+    nums, dens = [p.numerator for p in alphabet.probs], [p.denominator for p in alphabet.probs]
+    w_b, bb = _weights(opponent, nums, dens), overlap_shifts(opponent, opponent)
+    for a in candidates:
+        table = [(_weights(a, nums, dens), (overlap_shifts(a, a), overlap_shifts(opponent, a))),
+                 (w_b, (overlap_shifts(a, opponent), bb))]
+        (u_a, u_b), _, _ = _solve_n0(table)
+        yield Fraction(u_a, u_a + u_b)

@@ -52,6 +52,21 @@ def test_decimal_rendering_is_half_even():
     assert sqrt_str(F(1, 10**12), 4, negative=True) == "-0.0000"  # as f"{-1e-6:.4f}"
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.fractions(),  # signed, small
+        st.builds(F, st.integers(-(10**60), 10**60), st.integers(1, 10**6)),  # huge
+        st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**60)),  # tiny
+        st.builds(lambda k, d: F(2 * k + 1, 2 * 10**d), st.integers(-(10**4), 10**4), st.integers(0, 8)),  # ties
+    ),
+    st.integers(0, 6),
+)
+def test_percent_is_the_decimal_of_a_hundred_times_the_value(x, digits):
+    # percent_str no longer forms x * 100; it must print the same bytes as the formula that did
+    assert percent_str(x, digits) == decimal_str(x * 100, max(digits - 2, 0)) + "%"
+
+
 def test_duel_table_output(capsys):
     code, out, _ = run(
         capsys, "duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "TTTHTTT,TTHTTTTHT"
@@ -485,6 +500,7 @@ def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch)
     monkeypatch.setattr(RationalFunction, "series", work)
     monkeypatch.setattr(cli, "solve_duel", work)
     monkeypatch.setattr(cli, "first_passage_pgf", work)
+    monkeypatch.setattr(cli, "_response_wins", work)  # best-response's solves, which do not call solve_duel
     for argv in (
         # default --n = 4 * ceil(mean) = 37,320 coefficients over denominators up to 6^37320
         ["first-passage", "--alphabet", "A:1/2,B:1/3,C:1/6", "--patterns", "CCCCC"],
@@ -497,6 +513,9 @@ def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch)
         ["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "H" * 12, "--length", "10", "--digits", "20000",
          "--format", "csv"],
         ["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "H" * 17, "--length", "16", "--digits", "2000"],
+        # 16,384 candidates at 4 digits, but each exact win prints about 22,000 digits: about 160 MB in all
+        ["best-response", "--alphabet", f"A:1/{10**1000},B:1/3,C:1/3,D:{10**1000 - 3}/{3 * 10**1000}",
+         "--patterns", "ABCD", "--length", "7"],
         # default --n = 4 * ceil(mean), about 4 * 10^400: past the float range
         ["first-passage", "--alphabet", f"H:1/{10**200},T:{10**200 - 1}/{10**200}", "--patterns", "HH"],
         # default --n = 4 * (2^1601 - 2): refused from the mean alone, before the PGF is built
@@ -513,6 +532,19 @@ def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch)
         assert len(err.encode()) < 200, argv  # huge q and n are printed in brief
 
 
+def test_candidate_budget_counts_the_exact_column():
+    alphabet = parse_alphabet(f"A:1/{10**1000},B:1/3,C:1/3,D:{10**1000 - 3}/{3 * 10**1000}")
+    # --length 5 printed 10.2 MB, within the 2^25-digit budget; --length 7 would print about 160 MB
+    cli._check_candidates_budget(alphabet, 5, 4, 4)
+    with pytest.raises(ValueError, match=r"4\^7 candidates at 4 digits against 4 symbols over q = 3\.00e\+1000"):
+        cli._check_candidates_budget(alphabet, 7, 4, 4)
+    # on the fair coin the exact column is short, and the decimal and percent columns still decide
+    coin = parse_alphabet("H:1/2,T:1/2")
+    cli._check_candidates_budget(coin, 10, 12, 16000)
+    with pytest.raises(ValueError, match="could print"):
+        cli._check_candidates_budget(coin, 10, 12, 17000)
+
+
 def test_benchmark_decks_are_ten_times_under_the_work_budgets(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
     import workloads
@@ -526,7 +558,9 @@ def test_benchmark_decks_are_ten_times_under_the_work_budgets(monkeypatch):
             if "--n" in flags:
                 cli._check_series_budget(alphabet, int(flags["--n"]), int(flags.get("--digits", 4)))
             if "--length" in flags:
-                cli._check_candidates_budget(alphabet, int(flags["--length"]), int(flags.get("--digits", 4)))
+                opponent = Pattern.parse(flags["--patterns"], alphabet)
+                length, digits = int(flags["--length"]), int(flags.get("--digits", 4))
+                cli._check_candidates_budget(alphabet, length, len(opponent), digits)
             if argv[0] == "simulate":
                 patterns = tuple(Pattern.parse(text, alphabet) for text in flags["--patterns"].split(","))
                 mean = pgf.solve_duel(PatternSet(alphabet, patterns)).mean

@@ -391,8 +391,9 @@ def record_eliminations(monkeypatch) -> tuple[list, list]:
 
 def test_win_probabilities_alone_cost_one_integer_solve(monkeypatch):
     eliminations, replays = record_eliminations(monkeypatch)
-    built, correlation = [], DuelSolution._correlation
+    built, correlation, solve_n0 = [], DuelSolution._correlation, pgf._solve_n0
     monkeypatch.setattr(DuelSolution, "_correlation", lambda self, t: built.append(t) or correlation(self, t))
+    monkeypatch.setattr(pgf, "_solve_n0", lambda table: built.append(0) or solve_n0(table))  # N_0 is built there
     sol = solve_duel(pset("TTTHTTT", "TTHTTTTHT", "HTHH"))
     assert sol.win_probs and len(eliminations) == 1 and len(replays) == 1 and built == [0]  # N_1, N_2 wait
     assert all(type(v) is int for row in eliminations[0] for v in row)
@@ -492,3 +493,78 @@ def test_x_that_disagrees_with_the_win_probabilities_is_refused(monkeypatch):
         sol.x
     with pytest.raises(ArithmeticError, match="disagree"):  # D is unchanged by the reversal, but guarded too
         solve_duel(pset("HH", "TH")).duration
+
+
+@st.composite
+def responses(draw):
+    """An alphabet of 2-4 symbols with large row scales (k/101, or a/p, b/q, ... with the rest over their
+    product), an opponent, and the candidates of length <= 6 that may race it."""
+    n = draw(st.integers(2, 4))
+    if n == 2:
+        heads = draw(st.integers(1, 100))
+        probs = [F(heads, 101), F(101 - heads, 101)]
+    else:  # each of the first n - 1 weights is at most 1/n, so the rest is positive
+        primes = draw(st.lists(st.sampled_from([5, 7, 11, 13, 101]), min_size=n - 1, max_size=n - 1, unique=True))
+        probs = [F(draw(st.integers(1, p // n)), p) for p in primes]
+        probs.append(1 - sum(probs))
+    alphabet = Alphabet(tuple("ABCD"[:n]), tuple(probs))
+    words = st.lists(st.integers(0, n - 1), min_size=1, max_size=6).map(tuple)
+    opponent = draw(words)
+    candidates = []
+    for symbols in draw(st.lists(words, min_size=1, max_size=8)):
+        try:
+            PatternSet(alphabet, (Pattern(alphabet, symbols), Pattern(alphabet, opponent)))
+        except PatternSetError:
+            continue
+        candidates.append(symbols)
+    return alphabet, opponent, candidates
+
+
+@settings(max_examples=100, deadline=None)
+@given(responses())
+def test_response_wins_equal_the_race_solution(race):
+    alphabet, opponent, candidates = race
+    wins = list(pgf._response_wins(alphabet, opponent, candidates))
+    assert len(wins) == len(candidates)
+    q = math.lcm(*(p.denominator for p in alphabet.probs))
+    for symbols, win in zip(candidates, wins):
+        ps = PatternSet(alphabet, (Pattern(alphabet, symbols), Pattern(alphabet, opponent)))
+        assert win == solve_duel(ps).win_probs[0]
+        # the bound best-response's digit budget takes: u_A and u_A + u_B are at most 2 L q^L
+        total = len(symbols) + len(opponent)
+        assert win.denominator <= 2 * total * q**total
+
+
+def test_best_response_eliminates_each_candidate_once_without_a_race_object(monkeypatch, capsys):
+    eliminations, _ = record_eliminations(monkeypatch)
+    weights, built = [], pgf._weights
+    monkeypatch.setattr(pgf, "_weights", lambda symbols, *args: weights.append(symbols) or built(symbols, *args))
+
+    def forbidden(*args):
+        raise AssertionError("a candidate went through PatternSet, DuelSolution or solve_duel")
+
+    monkeypatch.setattr(PatternSet, "__post_init__", forbidden)
+    monkeypatch.setattr(DuelSolution, "__init__", forbidden)
+    monkeypatch.setattr(pgf, "solve_duel", forbidden)
+    monkeypatch.setattr("patdual.cli.solve_duel", forbidden)
+    assert main(["best-response", "--alphabet", "A:1/7,B:2/7,C:4/7", "--patterns", "ABA", "--length", "3",
+                 "--format", "json"]) == 0
+    ranked = json.loads(capsys.readouterr().out)["results"]["candidates"]
+    assert len(ranked) == 26  # ABA itself is skipped
+    assert len(eliminations) == len(ranked)  # one 2 x 2 N(1) each
+    assert all(len(rows) == 2 for rows in eliminations)
+    assert weights.count((0, 1, 0)) == 1 and len(weights) == len(ranked) + 1  # the opponent's weights once
+
+
+def test_a_race_with_a_win_that_is_not_positive_is_refused(monkeypatch):
+    bareiss = pgf._bareiss
+
+    def skewed(rows):  # a verified-looking solve whose first pattern never wins
+        y, d, kept = bareiss(rows)
+        return [-y[0], *y[1:]], d, kept
+
+    monkeypatch.setattr(pgf, "_bareiss", skewed)
+    with pytest.raises(ArithmeticError, match="not all positive"):
+        solve_duel(pset("HH", "TH"))
+    with pytest.raises(ArithmeticError, match="not all positive"):
+        next(pgf._response_wins(COIN, (0, 0), [(1, 0)]))
