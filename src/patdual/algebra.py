@@ -7,12 +7,7 @@ canonical form: the polynomial gcd of numerator and denominator is removed
 and the denominator is made monic, so structural equality is mathematical
 equality.
 
-No floating point is used anywhere in this module.  Power-series prefixes
-are extracted from rational functions through the linear recurrence
-imposed by the denominator, run over ints (_series): with the denominator
-scaled to den(0) = 1 and a scale s for which every den_j s^j and num_i s^i
-(i, j >= 1) is an integer, t s^k c_k is an integer for t the denominator
-of num(0), and the terms need no division.
+No floating point is used anywhere in this module.
 
 Linear systems are solved over Q only, and by one elimination: each row is
 scaled to integers, and Bareiss's fraction-free elimination (Math. Comp.
@@ -45,16 +40,12 @@ SeriesPrefix = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# primes whose powers the series scale takes one by one (see _series_scale)
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
 
 class ExpansionError(ValueError):
     """A function has no power-series expansion at the requested point.
 
     Raised for a pole at z = 1 (limit_at_one) and for den(0) = 0 (series).
-    No command takes a limit at z = 1, so on a command's path only `series`
-    can raise it, and no valid race makes it: an engine fault.
+    No command calls either, so only library callers can meet it.
     """
 
 
@@ -325,8 +316,19 @@ class RationalFunction:
         return self.num(x) / d
 
     def series(self, n: int) -> SeriesPrefix:
-        """First n + 1 Maclaurin coefficients; the denominator must not vanish at 0."""
-        return _series(self.num.coeffs, self.den.coeffs, n)
+        """Maclaurin coefficients c_0 .. c_n = (num_k - sum_j den_j c_(k-j)) / den_0; ExpansionError if den_0 = 0."""
+        if n < 0:
+            raise ValueError("series length must be >= 0")
+        num, den = self.num.coeffs, self.den.coeffs
+        if den[0] == 0:
+            raise ExpansionError("not a power series: denominator has zero constant term")
+        c: list[Fraction] = []
+        for k in range(n + 1):
+            acc = num[k] if k < len(num) else _ZERO
+            for j in range(1, min(k, len(den) - 1) + 1):
+                acc -= den[j] * c[k - j]
+            c.append(acc / den[0])
+        return tuple(c)
 
     def derivative(self) -> RationalFunction:
         """Exact quotient-rule derivative, canonicalized."""
@@ -341,69 +343,6 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"
-
-
-def _series_scale(*sequences: Sequence[Fraction]) -> int:
-    """A small s for which c_j s^j is an integer for every coefficient c_j with j >= 1.
-
-    Per small prime p, v_p(s) = max_j ceil(v_p(denominator of c_j) / j),
-    the least exponent that works.  Whatever part of a denominator no small
-    prime divides goes into s whole, which still works for any sequence.
-    (A plain lcm of the denominators works too, but is far larger, and the
-    integer terms of a series grow with s^k.)
-    """
-    exponents = dict.fromkeys(_SMALL_PRIMES, 0)
-    rest = 1
-    for coeffs in sequences:
-        for j, c in enumerate(coeffs):
-            d = c.denominator
-            if j == 0 or d == 1:
-                continue
-            for p in _SMALL_PRIMES:
-                v = 0
-                while d % p == 0:
-                    d //= p
-                    v += 1
-                if v:
-                    exponents[p] = max(exponents[p], -(-v // j))
-                if d == 1:
-                    break
-            rest = lcm(rest, d)
-    return rest * prod(p**e for p, e in exponents.items())
-
-
-def _series(num: Sequence[Fraction], den: Sequence[Fraction], n: int) -> SeriesPrefix:
-    """c_0 .. c_n of num / den over ints; ExpansionError when den[0] is 0.
-
-    With num / den scaled to den(0) = 1, s from _series_scale and t the
-    denominator of num(0), a_k = t s^k c_k obeys
-    a_k = t s^k num_k - sum_j (den_j s^j) a_(k-j) over ints.
-    """
-    if n < 0:
-        raise ValueError("series length must be >= 0")
-    den0 = den[0]
-    if den0 == 0:
-        raise ExpansionError("not a power series: denominator has zero constant term")
-    num = [c / den0 for c in num]
-    den = [c / den0 for c in den]
-    s = _series_scale(num, den)
-    t = num[0].denominator if num else 1
-    drive = [c.numerator * (t * s**i // c.denominator) for i, c in enumerate(num[:n + 1])]
-    feedback = [(j, c.numerator * (s**j // c.denominator)) for j, c in enumerate(den) if j and c]
-    a: list[int] = []
-    for k in range(n + 1):
-        acc = drive[k] if k < len(drive) else 0
-        for j, e in feedback:
-            if j > k:
-                break
-            acc -= e * a[k - j]
-        a.append(acc)
-    out = []
-    scale = t
-    for ak in a:
-        out.append(Fraction(ak, scale))
-        scale *= s
-    return tuple(out)
 
 
 def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -7,8 +7,8 @@ Decimal renderings use round-half-even at the configured digit count.
 
 Exit codes: 0 success, 2 parse/usage errors, 3 precondition violations
 (invalid pattern sets, requests over a work budget and the like), 4 internal
-failures (singular systems, cross-check disagreement, and an ExpansionError,
-which no valid race can cause), 141 when the reader of stdout closes it early.
+failures (singular systems, cross-check disagreement, and faults no valid
+race can cause), 141 when the reader of stdout closes it early.
 
 The argparse tree is built once, when this module is imported, and every
 `main` call parses with it; `main` touches no interpreter-wide state, so it
@@ -28,7 +28,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from .algebra import ExpansionError, RationalFunction
+from .algebra import RationalFunction
 from .equilibrium import solve_equilibrium
 from .oracle import oracle_duration, oracle_win_probs, simulate
 from .patterns import (
@@ -186,7 +186,7 @@ def cmd_first_passage(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict
         "pgf": _rf_json(pgf),
         "mean": _exact_decimal(sol.mean, args.digits),
         "variance": _exact_decimal(sol.variance, args.digits),
-        "coefficients": _series_rows(pgf.series(n), args.digits),
+        "coefficients": _series_rows(sol.duration_series(n), args.digits),
     }
 
 
@@ -210,7 +210,7 @@ def cmd_duel(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
             "skewness": "nan" if v == 0 else sqrt_str(t * t / v**3, args.digits, t < 0),
         }
         if args.n is not None:
-            series = sol.duration.series(args.n)
+            series = sol.duration_series(args.n)
             results["coefficients"] = _series_rows(series, args.digits)
     if args.method != "pgf":
         eq = solve_equilibrium(ps)
@@ -479,9 +479,6 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ExpansionError as exc:  # a ValueError, but no valid race can raise it
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (PatternSetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

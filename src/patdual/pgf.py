@@ -28,6 +28,8 @@ g(w) / (g(w) - w) is a power-series division.  `_solve_n0` eliminates
 every race's N(1) and checks u_0 > 0 (a pattern wins if it opens the game).
 Best-response's `_response_wins` builds the opponent's weights and shifts
 once, then each candidate's 2 x 2 table for `_solve_n0`: no DuelSolution.
+The duration series needs no rational function either: `duration_series`
+reads P(T = t) off the table's shifts by a recurrence in t, over integers.
 
 The rational functions x and D are each built on first read, without
 rational-function elimination: with L the longest pattern, row i of
@@ -44,11 +46,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, ldexp, prod
+from math import comb, gcd, lcm, ldexp, prod
 
 from .algebra import (
     Poly,
     RationalFunction,
+    SeriesPrefix,
     SingularMatrixError,
     _bareiss,
     _Elimination,
@@ -121,8 +124,9 @@ class DuelSolution:
     tables are.  Win probabilities and moments come from one elimination of the
     row-scaled N(1) by `_solve_n0`, replayed for the moments: win_i = u_0[i] /
     sum(u_0), N(1) u_0 = 1, and factorial moment k is k! [w^k] D(1 + w).
-    `x[i]` generates P(pattern i wins at trial t) and the duration PGF D is
-    their sum; each is built on first read from one shared solve with
+    `duration_series(n)` reads P(T = t) off the table's shifts by a recurrence
+    in t.  `x[i]` generates P(pattern i wins at trial t) and the duration PGF
+    D is their sum; each is built on first read from one shared solve with
     z^L N(z).  With one pattern, the same attributes describe its waiting time.
     """
 
@@ -180,6 +184,51 @@ class DuelSolution:
         """Duration PGF D, the sum of the win generating functions."""
         shift, _, total, den = self._polynomials
         return RationalFunction(shift * total, den)
+
+    def duration_series(self, n: int) -> SeriesPrefix:
+        """P(T = t), t = 0 .. n, by the recurrence in t of Guibas and Odlyzko (J. Combin. Theory A 30, 1981).
+
+        With s[t] = P(T > t), x_j[t] = P(j wins at t) = P_j s[t - L_j] - sum P(j[l:]) x_i[t - L_j + l] over the
+        overlap shifts l of each i into j but (j, L_j), and s[t] = s[t - 1] - sum_j x_j[t].  No pattern contains
+        another, so all these are earlier than t.  Times d^t, d the lcm of the denominators of the patterns' symbols,
+        every term is an integer, and nothing is divided.  A negative x_j[t] or s[t] is an ArithmeticError.
+        """
+        if n < 0:
+            raise ValueError("series length must be >= 0")
+        patterns, probs = self.pattern_set.patterns, self.pattern_set.alphabet.probs
+        d = lcm(*(probs[c].denominator for p in patterns for c in set(p.symbols)))
+        # h holds the steps so far, each x_0 .. x_(m-1) then s, times d^t; step t starts at h[now], so x_i[t - k]
+        # is h[now + i - k width] and s[t - k] is h[now + m - k width]
+        m = len(patterns)
+        width, rows = m + 1, []
+        for pattern, (_, shifts) in zip(patterns, self._table):
+            tail, size = [1], len(pattern)  # tail[k] = P(pattern[size - k:]) d^k
+            for c in reversed(pattern.symbols):
+                tail.append(tail[-1] * probs[c].numerator * (d // probs[c].denominator))
+            # a shift l = L_j is j's own, since no pattern contains another: the x_j[t] being solved for
+            rows.append((m - size * width, tail[size], [(i - (size - l) * width, tail[size - l])
+                                                         for i, ls in enumerate(shifts) for l in ls if l < size]))
+        window = width * max(len(p) for p in patterns)
+        h = [0] * (window - 1) + [1]  # every step before t = 0 is 0, and s[0] = 1
+        out, scale = [Fraction(0)], 1
+        for _ in range(n):
+            now, total = len(h), 0
+            for s_at, head, terms in rows:
+                v = head * h[now + s_at]
+                for at, c in terms:
+                    v -= c * h[now + at]
+                if v < 0:
+                    raise ArithmeticError("duration series has a negative term; inputs violate an invariant")
+                h.append(v)
+                total += v
+            h.append(d * h[now - 1] - total)
+            if h[-1] < 0:
+                raise ArithmeticError("duration series has a negative term; inputs violate an invariant")
+            if now > 8 * window:  # only the last window is read again
+                del h[:-window]
+            scale *= d
+            out.append(Fraction(total, scale))
+        return tuple(out)
 
     @cached_property
     def _at_one(self) -> tuple[Fraction, ...]:

@@ -150,7 +150,7 @@ def test_derivative_matches_independent_quotient_rule_at_points():
         checked += 1
 
 
-# denominators with primes past the small-prime table (53, 97, 101), with prime powers,
+# denominators with large primes (53, 97, 101), with prime powers,
 # and with both; numerators of any sign, so num(0) is often fractional and negative
 wide_frac = st.builds(F, st.integers(-60, 60), st.sampled_from((1, 2, 3, 4, 6, 9, 25, 49, 53, 97, 106, 128, 606)))
 
@@ -205,7 +205,7 @@ def test_limit_agrees_with_evaluation_when_no_pole():
 wide_poly = st.lists(wide_frac, max_size=5).map(Poly)
 
 
-# wide_frac puts denominators past the small-prime table into the integer recurrence's scale
+# wide_frac puts large primes and prime powers into the denominators
 @settings(max_examples=60, deadline=None)
 @given(num=st.one_of(poly, wide_poly), den=st.one_of(nonzero_poly, wide_poly.filter(lambda p: not p.is_zero)))
 def test_expansion_at_one_matches_derivatives(num, den):

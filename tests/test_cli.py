@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patdual import algebra, cli, equilibrium, oracle, pgf
-from patdual.algebra import ExpansionError, RationalFunction, SingularMatrixError
+from patdual.algebra import Poly, RationalFunction, SingularMatrixError
 from patdual.cli import decimal_str, main, percent_str, sqrt_str
 from patdual.patterns import Alphabet, Pattern, PatternSet, exact_str, parse_alphabet
 DATA = Path(__file__).parent / "data"
@@ -413,14 +413,6 @@ def test_exit_code_4_on_internal_failures(capsys, monkeypatch):
     code, _, err = run(capsys, "duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH")
     assert code == 4 and "pivot" in err
 
-    # an expansion that fails is an engine fault, although ExpansionError is a ValueError
-    def no_series(self, n):
-        raise ExpansionError("not a power series: denominator has zero constant term")
-
-    monkeypatch.setattr(RationalFunction, "series", no_series)
-    code, _, err = run(capsys, "first-passage", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH", "--n", "3")
-    assert code == 4 and "not a power series" in err
-
 
 def test_method_both_checks_the_chain_oracle(capsys, monkeypatch):
     oracle = cli.oracle_win_probs
@@ -498,6 +490,7 @@ def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch)
         raise AssertionError("work started")
 
     monkeypatch.setattr(RationalFunction, "series", work)
+    monkeypatch.setattr(pgf.DuelSolution, "duration_series", work)  # the series of duel --n and first-passage
     monkeypatch.setattr(cli, "solve_duel", work)
     monkeypatch.setattr(cli, "first_passage_pgf", work)
     monkeypatch.setattr(cli, "_response_wins", work)  # best-response's solves, which do not call solve_duel
@@ -579,21 +572,39 @@ def record_solves(monkeypatch) -> list:
     return calls
 
 
+def record_series_work(monkeypatch) -> dict:
+    """Per name, the calls of each step on the rational-function route to a series."""
+    calls = {}
+    for owner, name in ((RationalFunction, "__init__"), (RationalFunction, "series"),
+                        (RationalFunction, "limit_at_one"), (pgf, "build_duel_matrix"),
+                        (pgf, "solve_polynomial_system"), (algebra, "poly_gcd")):
+        def recorded(*args, original=getattr(owner, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
 def test_duel_series_needs_no_rational_function_elimination(capsys, monkeypatch):
-    calls = record_solves(monkeypatch)
-    matrices, build = [], pgf.build_duel_matrix
-    monkeypatch.setattr(pgf, "build_duel_matrix", lambda ps: matrices.append(ps) or build(ps))
-    builds, limits, init, limit = [], [], RationalFunction.__init__, RationalFunction.limit_at_one
-    monkeypatch.setattr(RationalFunction, "__init__", lambda self, *args: builds.append(args) or init(self, *args))
-    monkeypatch.setattr(RationalFunction, "limit_at_one", lambda self: limits.append(self) or limit(self))
+    solves, calls = record_solves(monkeypatch), record_series_work(monkeypatch)
     doc = run_json(
         capsys, "duel", "--alphabet", "A:1/2,B:1/3,C:1/6", "--patterns", "ABA,CAB,BBC", "--method", "both", "--n", "40"
     )
-    assert len(doc["results"]["coefficients"]) == 41
-    assert calls and all(not isinstance(v, RationalFunction) for _, matrix, _ in calls for row in matrix for v in row)
-    assert matrices == []  # no race matrix of rational functions is built at all
-    assert len(builds) == 1  # D alone: the series needs no win generating function
-    assert limits == []  # the z = 1 check runs on the solved polynomials
+    assert len(doc["results"]["coefficients"]) == 41 and doc["results"]["cross_check"] == "ok"
+    assert solves and all(not isinstance(v, RationalFunction) for _, matrix, _ in solves for row in matrix for v in row)
+    # the coefficients come from the recurrence in t: no polynomial solve, no gcd and no rational function at all
+    assert calls == {}
+
+
+def test_first_passage_series_comes_from_the_recurrence(capsys, monkeypatch):
+    calls = record_series_work(monkeypatch)
+    doc = run_json(capsys, "first-passage", "--alphabet", "A:1/2,B:1/3,C:1/6", "--patterns", "ABAAB", "--n", "40")
+    # the printed PGF alone is built, with its one polynomial solve and one gcd; no series is taken from it
+    assert calls == {"solve_polynomial_system": 1, "poly_gcd": 1, "__init__": 1}
+    printed = [[F(c) for c in doc["results"]["pgf"][part]] for part in ("numerator", "denominator")]
+    series = RationalFunction(Poly(printed[0]), Poly(printed[1])).series(40)
+    assert [F(row["exact"]) for row in doc["results"]["coefficients"]] == list(series)
 
 
 @pytest.mark.parametrize("alphabet", ["H:1/101,T:100/101", "A:1/7,B:2/11,C:52/77"])
@@ -1028,8 +1039,9 @@ def test_benchmark_tracer_leaves_output_unchanged(capsys, monkeypatch):
     _, _, calls = tracer.self_times()
     for span in ("cli.argparse", "cli.render", "patterns.parse", "patterns.set_build", "pgf.solve_duel",
                  "pgf.first_passage", "pgf.moments", "algebra.gcd",
-                 "algebra.series", "algebra.solve", "equilibrium.solve", "oracle.simulate", "oracle.automaton"):
+                 "algebra.solve", "equilibrium.solve", "oracle.simulate", "oracle.automaton"):
         assert calls[span] > 0, span
+    assert calls["algebra.series"] == 0  # series come from the recurrence in t, not from a rational function
     assert calls["algebra.derivative"] == 0  # moments come from integer solves with N(1)
     assert calls["algebra.limit"] == 0  # x and D are checked at z = 1 on the solved polynomials
     assert calls["pgf.matrix"] == 0  # x and D come from the integer table, not from the race matrix

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import patdual.algebra as algebra
@@ -272,6 +272,54 @@ def test_win_prob_series_matches_enumeration():
         for t in range(n + 1):
             assert dur[t] == sum(per_pattern[i][t] for i in range(len(ps)))
         assert list(oracle_duration(ps, n)) == [sum(wins[t] for wins in expected) for t in range(n + 1)]
+
+
+@st.composite
+def recurrence_races(draw):
+    """1-5 patterns of length 1-8 over the fair coin, the 1/3 coin, a k/101 coin, or three symbols
+    A: a/p and B: b/q, p and q distinct primes, with C the rest, over pq."""
+    kind = draw(st.sampled_from(["fair", "third", "k/101", "three"]))
+    if kind == "fair":
+        alphabet = COIN
+    elif kind == "third":
+        alphabet = Alphabet.coin(F(1, 3))
+    elif kind == "k/101":
+        alphabet = Alphabet.coin(F(draw(st.integers(1, 100)), 101))
+    else:
+        p, q = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 101]), min_size=2, max_size=2, unique=True))
+        a, b = draw(st.integers(1, p - 1)), draw(st.integers(1, q - 1))
+        assume(F(a, p) + F(b, q) < 1)
+        alphabet = Alphabet(("A", "B", "C"), (F(a, p), F(b, q), 1 - F(a, p) - F(b, q)))
+    labels = "".join(alphabet.symbols)
+    texts = draw(st.lists(st.text(labels, min_size=1, max_size=8), min_size=1, max_size=5))
+    try:
+        return PatternSet(alphabet, tuple(Pattern.parse(t, alphabet) for t in texts))
+    except PatternSetError:
+        assume(False)
+
+
+# q = 9, but the patterns use only the symbols at 1/3, so the recurrence scales by d = 3
+NINTHS = Alphabet(("A", "B", "C", "D"), (F(1, 3), F(1, 3), F(2, 9), F(1, 9)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(recurrence_races(), st.integers(0, 60))
+@example(pset("HHHHHHHH", "THTT"), 60)  # HHHHHHHH overlaps itself at every shift
+@example(pset("AAB", "BBA", "ABAB", alphabet=NINTHS), 60)
+@example(pset("HTHHTHTT"), 60)  # one pattern: its waiting time
+def test_duration_series_by_recurrence_matches_the_pgf_and_the_occupancy_dp(ps, n):
+    sol = DuelSolution(ps)
+    assert sol.duration_series(n) == sol.duration.series(n) == oracle_duration(ps, n)
+
+
+def test_duration_series_with_a_negative_term_is_refused():
+    sol = DuelSolution(pset("HH", "TH"))
+    weights, shifts = sol._table[0]
+    sol._table[0] = (weights, [shifts[0], ()])  # as if TH never overlapped into HH: HH wins too often
+    with pytest.raises(ArithmeticError, match="negative term"):
+        sol.duration_series(6)
+    with pytest.raises(ValueError, match="series length"):
+        sol.duration_series(-1)
 
 
 def test_duel_agrees_with_chain_solver_on_random_triples():
