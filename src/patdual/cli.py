@@ -290,7 +290,8 @@ def cmd_best_response(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict
         else:
             admitted.append(candidate)
     wins = _response_wins(alphabet, opponent.symbols, [c.symbols for c in admitted])
-    ranked = sorted(zip(admitted, wins), key=lambda item: item[1], reverse=True)  # stable: ties keep product's order
+    # exact: float(w) is correctly rounded, so monotone, and float ties fall to w; stable: ties keep product's order
+    ranked = sorted(zip(admitted, wins), key=lambda item: (float(item[1]), item[1]), reverse=True)
     return {
         "opponent": opponent.text,
         "length": args.length,

@@ -29,7 +29,8 @@ every race's N(1) and checks u_0 > 0 (a pattern wins if it opens the game).
 Best-response's `_response_wins` builds the opponent's weights and shifts
 once, then each candidate's 2 x 2 table for `_solve_n0`: no DuelSolution.
 The duration series needs no rational function either: `duration_series`
-reads P(T = t) off the table's shifts by a recurrence in t, over integers.
+reads P(T = t) off the table's shifts by a recurrence in t, over integers,
+and `_over_power` reduces each term over d^t by the primes of d alone.
 
 The rational functions x and D are each built on first read, without
 rational-function elimination: with L the longest pattern, row i of
@@ -108,6 +109,20 @@ def _solve_n0(table) -> tuple[list[int], int, _Elimination]:
     if min(u) <= 0:
         raise ArithmeticError("win probabilities are not all positive; inputs violate an invariant")
     return u, e, kept
+
+
+def _over_power(x: int, twos: int, odd: int, odd_t: int) -> Fraction:
+    """x / (2^twos odd_t) in lowest terms, odd_t a power of the odd odd: a wide gcd only if x and odd share a prime."""
+    if not x:
+        return Fraction(0)
+    v = min((x & -x).bit_length() - 1, twos)  # the 2s by a shift
+    x >>= v
+    if gcd(x % odd, odd) > 1:  # a prime of odd divides x
+        g = gcd(x, odd_t)
+        x, odd_t = x // g, odd_t // g
+    f = object.__new__(Fraction)  # x and the denominator are coprime, so Fraction's own gcd would find 1
+    f._numerator, f._denominator = x, odd_t << (twos - v)
+    return f
 
 
 def _sqrt(v: Fraction) -> float:
@@ -191,7 +206,8 @@ class DuelSolution:
         With s[t] = P(T > t), x_j[t] = P(j wins at t) = P_j s[t - L_j] - sum P(j[l:]) x_i[t - L_j + l] over the
         overlap shifts l of each i into j but (j, L_j), and s[t] = s[t - 1] - sum_j x_j[t].  No pattern contains
         another, so all these are earlier than t.  Times d^t, d the lcm of the denominators of the patterns' symbols,
-        every term is an integer, and nothing is divided.  A negative x_j[t] or s[t] is an ArithmeticError.
+        every term is an integer.  Only P(T = t) is divided, by `_over_power`: a shift for the 2s of d^t, and a gcd
+        with d's odd part to the t only when they share a prime.  A negative x_j[t] or s[t] is an ArithmeticError.
         """
         if n < 0:
             raise ValueError("series length must be >= 0")
@@ -210,7 +226,8 @@ class DuelSolution:
                                                          for i, ls in enumerate(shifts) for l in ls if l < size]))
         window = width * max(len(p) for p in patterns)
         h = [0] * (window - 1) + [1]  # every step before t = 0 is 0, and s[0] = 1
-        out, scale = [Fraction(0)], 1
+        a = (d & -d).bit_length() - 1  # d = 2^a o, o odd
+        out, o, o_t = [Fraction(0)], d >> a, 1
         for _ in range(n):
             now, total = len(h), 0
             for s_at, head, terms in rows:
@@ -226,8 +243,8 @@ class DuelSolution:
                 raise ArithmeticError("duration series has a negative term; inputs violate an invariant")
             if now > 8 * window:  # only the last window is read again
                 del h[:-window]
-            scale *= d
-            out.append(Fraction(total, scale))
+            o_t *= o
+            out.append(_over_power(total, a * len(out), o, o_t))  # total / d^t, with d^t = 2^(a t) o^t
         return tuple(out)
 
     @cached_property

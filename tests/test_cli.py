@@ -217,6 +217,17 @@ def test_best_response_ties_keep_ascending_symbol_order(capsys):
     assert all(a[1] > b[1] or (a[1] == b[1] and a[0] < b[0]) for a, b in zip(ranked, ranked[1:]))
 
 
+def test_best_response_ranks_wins_below_the_float_range_exactly(capsys):
+    tiny = F(1, 10**400)
+    doc = run_json(capsys, "best-response", "--alphabet", f"A:{tiny},B:{tiny},C:{1 - 2 * tiny}", "--patterns", "CC",
+                   "--length", "2")
+    ranked = [(row["pattern"], F(row["exact"])) for row in doc["results"]["candidates"]]
+    assert len(ranked) == 8 and all(float(w) == 0.0 for _, w in ranked)
+    assert len({w for _, w in ranked}) == 4  # A and B weigh the same: AA and BB tie, as do AB and BA, AC and BC, CA and CB
+    # descending exactly, though every float key is 0.0, and equal wins keep product's order (A < B < C)
+    assert ranked == sorted(sorted(ranked), key=lambda row: row[1], reverse=True)
+
+
 def test_best_response_long_opponent_includes_strong_counter(capsys):
     doc = run_json(
         capsys, "best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "TTHTTTTHT",
@@ -595,6 +606,25 @@ def test_duel_series_needs_no_rational_function_elimination(capsys, monkeypatch)
     assert solves and all(not isinstance(v, RationalFunction) for _, matrix, _ in solves for row in matrix for v in row)
     # the coefficients come from the recurrence in t: no polynomial solve, no gcd and no rational function at all
     assert calls == {}
+
+
+def test_fair_coin_series_takes_no_wide_gcd(capsys, monkeypatch):
+    widths = []
+
+    def recorded(*args, gcd=math.gcd):
+        widths.append(max(abs(v).bit_length() for v in args))
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", recorded)  # Fraction(n, d) looks math.gcd up at each call
+    monkeypatch.setattr(pgf, "gcd", recorded)
+    coin = Alphabet.coin(F(1, 2))
+    sol = pgf.DuelSolution(PatternSet(coin, tuple(Pattern.parse(text, coin) for text in ("HTHHT", "THTTH", "HHHTT"))))
+    series = sol.duration_series(2000)
+    # d = 2: each term's denominator 2^t is reduced by a shift, and the term is built without Fraction's own gcd
+    assert series[2000].denominator.bit_length() > 1000 and widths and max(widths) <= 64
+    doc = run_json(capsys, "duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HTHHT,THTTH,HHHTT", "--method", "both",
+                   "--n", "40")
+    assert doc["results"]["cross_check"] == "ok"
 
 
 def test_first_passage_series_comes_from_the_recurrence(capsys, monkeypatch):

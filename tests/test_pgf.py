@@ -307,9 +307,40 @@ NINTHS = Alphabet(("A", "B", "C", "D"), (F(1, 3), F(1, 3), F(2, 9), F(1, 9)))
 @example(pset("HHHHHHHH", "THTT"), 60)  # HHHHHHHH overlaps itself at every shift
 @example(pset("AAB", "BBA", "ABAB", alphabet=NINTHS), 60)
 @example(pset("HTHHTHTT"), 60)  # one pattern: its waiting time
+@example(pset("HTHHT", "TTH", alphabet=Alphabet.coin(F(7, 101))), 60)  # d = 101, an odd prime
+@example(pset("HTH", "THHT", alphabet=Alphabet.coin(F(1, 10**20 + 1))), 60)  # d = 10^20 + 1, odd and composite
+@example(pset("HH", "THT"), 0)
+@example(pset("H", alphabet=Alphabet.coin(F(1, 3))), 1)
 def test_duration_series_by_recurrence_matches_the_pgf_and_the_occupancy_dp(ps, n):
     sol = DuelSolution(ps)
     assert sol.duration_series(n) == sol.duration.series(n) == oracle_duration(ps, n)
+
+
+@st.composite
+def over_powers(draw):
+    """x, d and t with 0 <= x <= d^t; x is often 0, d^t, a multiple of o^t, or has more than a t trailing zeros,
+    where d = 2^a o with o odd."""
+    d = draw(st.one_of(st.builds(lambda i: 2**i, st.integers(0, 8)), st.sampled_from([101, 6, 10, 45, 10**50 + 1]),
+                       st.builds(lambda i, j: 2**i * 3**j, st.integers(0, 6), st.integers(0, 6))))
+    t = draw(st.integers(0, 80))
+    a = (d & -d).bit_length() - 1
+    o_t = (d >> a) ** t
+    x = draw(st.one_of(st.just(0), st.just(d**t), st.integers(0, 2 ** (a * t)).map(lambda k: k * o_t),
+                       st.integers(0, o_t // 2).map(lambda k: k << (a * t + 1)), st.integers(0, d**t)))
+    return x, d, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(over_powers())
+def test_a_series_term_reduced_by_the_primes_of_d_is_the_fraction(xdt):
+    x, d, t = xdt
+    a = (d & -d).bit_length() - 1
+    reduced, fraction = pgf._over_power(x, a * t, d >> a, (d >> a) ** t), F(x, d**t)
+    assert type(reduced) is F
+    assert (reduced, reduced.numerator, reduced.denominator, hash(reduced)) == (
+        fraction, fraction.numerator, fraction.denominator, hash(fraction))
+    # _over_power sets these two slots itself: a Fraction laid out otherwise must fail here, not print wrong fractions
+    assert F.__slots__ == ("_numerator", "_denominator")
 
 
 def test_duration_series_with_a_negative_term_is_refused():
