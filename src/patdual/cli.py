@@ -233,6 +233,14 @@ def cmd_duel(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
     return results
 
 
+def _z_str(emp: Fraction, exact: Fraction, variance: Fraction, games: int, digits: int) -> str:
+    """z = (emp - exact) / sqrt(variance / games), squared exactly so that no tiny variance underflows."""
+    if not variance:  # a sure outcome: any deviation at all is a failure
+        return "0" if emp == exact else "inf"
+    z = math.sqrt((emp - exact) ** 2 * games / variance)
+    return f"{-z if emp < exact else z:.{digits}f}"
+
+
 def cmd_simulate(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
     if len(patterns) < 2:
         raise PatternSetError("simulate requires at least two patterns")
@@ -241,26 +249,17 @@ def cmd_simulate(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
     sol = solve_duel(ps)
 
     rows = []
-    for i, p in enumerate(ps.patterns):
-        exact = sol.win_probs[i]
+    for i, (p, exact) in enumerate(zip(ps.patterns, sol.win_probs)):
         emp = report.win_frequency(i)
-        # z = (emp - exact) / sqrt(exact (1 - exact) / games), squared exactly so that no tiny win underflows
-        z = math.sqrt((emp - exact) ** 2 * args.games / (exact * (1 - exact)))
         rows.append(
             {
                 "pattern": p.text,
                 "exact": exact_str(exact),
                 "exact_decimal": decimal_str(exact, args.digits),
                 "empirical": decimal_str(emp, args.digits),
-                "z": f"{-z if emp < exact else z:.{args.digits}f}",
+                "z": _z_str(emp, exact, exact * (1 - exact), args.games, args.digits),
             }
         )
-    mean_sigma = sol.std / math.sqrt(args.games)
-    if mean_sigma > 0:
-        mean_z = f"{float(report.mean_duration - sol.mean) / mean_sigma:.{args.digits}f}"
-    else:
-        # deterministic duration: any deviation at all is a failure
-        mean_z = "0" if report.mean_duration == sol.mean else "inf"
     return {
         "games": args.games,
         "seed": args.seed,
@@ -268,7 +267,7 @@ def cmd_simulate(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
         "duration": {
             "exact_mean": _exact_decimal(sol.mean, args.digits),
             "empirical_mean": decimal_str(report.mean_duration, args.digits),
-            "z": mean_z,
+            "z": _z_str(report.mean_duration, sol.mean, sol.variance, args.games, args.digits),
         },
     }
 

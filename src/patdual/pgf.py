@@ -24,10 +24,11 @@ the overlap shifts and its `_weights`, the integers w_l = s_i / P(i[:l])
 s_i N.  The win probabilities and the moments need no rational function:
 u(w) follows from one Bareiss elimination of N(1) (the correlation matrix
 of Guibas and Odlyzko), replayed for u_1 and u_2, and D(1 + w) =
-g(w) / (g(w) - w) is a power-series division.  `_solve_n0` eliminates
-every race's N(1) and checks u_0 > 0 (a pattern wins if it opens the game).
-Best-response's `_response_wins` builds the opponent's weights and shifts
-once, then each candidate's 2 x 2 table for `_solve_n0`: no DuelSolution.
+g(w) / (g(w) - w) is a power-series division; u_0 > 0 is checked (a pattern
+wins if it opens the game).  Two players need no elimination: with n_XY the
+sum of X's w_l over the shifts of Y into X and s_X = w_0, Cramer's rule gives
+Conway's, A wins with probability a / (a + b), a = s_A n_BB - s_B n_AB and
+b = s_B n_AA - s_A n_BA; `_response_wins` checks a, b and det N(1): nonzero, one sign.
 The duration series needs no rational function either: `duration_series`
 reads P(T = t) off the table's shifts by a recurrence in t, over integers,
 and `_over_power` reduces each term over d^t by the primes of d alone.
@@ -102,15 +103,6 @@ def _weights(symbols: SymbolSeq, nums: list[int], dens: list[int]) -> list[int]:
     return w
 
 
-def _solve_n0(table) -> tuple[list[int], int, _Elimination]:
-    """N(1)^(-1) 1 from a race's table as integers u_0 > 0, checked, over their least e > 0; and the elimination."""
-    y, d, kept = _bareiss([[*(sum(w[l] for l in ls) for ls in shifts), w[0]] for w, shifts in table])
-    u, e = _lowest_terms(y, d)
-    if min(u) <= 0:
-        raise ArithmeticError("win probabilities are not all positive; inputs violate an invariant")
-    return u, e, kept
-
-
 def _over_power(x: int, twos: int, odd: int, odd_t: int) -> Fraction:
     """x / (2^twos odd_t) in lowest terms, odd_t a power of the odd odd: a wide gcd only if x and odd share a prime."""
     if not x:
@@ -136,9 +128,9 @@ class DuelSolution:
     """Everything a race implies, each answer computed when first read and then kept.
 
     Every answer is read from `_table`, built by `_weights` as best-response's
-    tables are.  Win probabilities and moments come from one elimination of the
-    row-scaled N(1) by `_solve_n0`, replayed for the moments: win_i = u_0[i] /
-    sum(u_0), N(1) u_0 = 1, and factorial moment k is k! [w^k] D(1 + w).
+    rows are.  Win probabilities and moments come from one elimination of the
+    row-scaled N(1), replayed for the moments: win_i = u_0[i] / sum(u_0),
+    N(1) u_0 = 1, and factorial moment k is k! [w^k] D(1 + w).
     `duration_series(n)` reads P(T = t) off the table's shifts by a recurrence
     in t.  `x[i]` generates P(pattern i wins at trial t) and the duration PGF
     D is their sum; each is built on first read from one shared solve with
@@ -168,8 +160,13 @@ class DuelSolution:
 
     @cached_property
     def _u0(self) -> tuple[list[int], int, _Elimination]:
-        """N(1)^(-1) 1 as integer numerators over their least common denominator, and N(1)'s elimination, kept."""
-        return self._solve(_solve_n0, self._table)
+        """N(1)^(-1) 1 as integers u_0 > 0, checked, over their least e > 0; and N(1)'s elimination, kept."""
+        rows = [[*(sum(w[l] for l in ls) for ls in shifts), w[0]] for w, shifts in self._table]
+        y, d, kept = self._solve(_bareiss, rows)
+        u, e = _lowest_terms(y, d)
+        if min(u) <= 0:
+            raise ArithmeticError("win probabilities are not all positive; inputs violate an invariant")
+        return u, e, kept
 
     @cached_property
     def win_probs(self) -> tuple[Fraction, ...]:
@@ -313,11 +310,15 @@ def solve_duel(ps: PatternSet) -> DuelSolution:
 
 
 def _response_wins(alphabet: Alphabet, opponent: SymbolSeq, candidates: Iterable[SymbolSeq]) -> Iterator[Fraction]:
-    """Each candidate's win probability against opponent, neither a substring of the other (see module docstring)."""
+    """Each candidate's win probability against opponent, neither a substring of the other, by Conway's rule."""
     nums, dens = [p.numerator for p in alphabet.probs], [p.denominator for p in alphabet.probs]
-    w_b, bb = _weights(opponent, nums, dens), overlap_shifts(opponent, opponent)
-    for a in candidates:
-        table = [(_weights(a, nums, dens), (overlap_shifts(a, a), overlap_shifts(opponent, a))),
-                 (w_b, (overlap_shifts(a, opponent), bb))]
-        (u_a, u_b), _, _ = _solve_n0(table)
-        yield Fraction(u_a, u_a + u_b)
+    w_b = _weights(opponent, nums, dens)
+    n_bb = sum(w_b[l] for l in overlap_shifts(opponent, opponent))  # n_XY: X's weights over the shifts of Y into X
+    for symbols in candidates:
+        w_a = _weights(symbols, nums, dens)
+        n_aa, n_ab = (sum(w_a[l] for l in overlap_shifts(y, symbols)) for y in (symbols, opponent))
+        n_ba = sum(w_b[l] for l in overlap_shifts(symbols, opponent))
+        a, b, det = w_a[0] * n_bb - w_b[0] * n_ab, w_b[0] * n_aa - w_a[0] * n_ba, n_aa * n_bb - n_ab * n_ba
+        if not (a and b and det and (a > 0) == (b > 0) == (det > 0)):  # u_A = a / det and u_B = b / det, both > 0
+            raise ArithmeticError("win probabilities are not all positive; inputs violate an invariant")
+        yield Fraction(a, a + b)

@@ -184,6 +184,26 @@ def test_simulate_z_of_a_win_probability_below_the_float_range(capsys):
     assert z == {"T": "0.0000", "H" * 17: "-0.0000"}
 
 
+def test_simulate_z_of_a_mean_whose_std_is_below_the_float_range(capsys):
+    p = F(1, 10**700)  # HH against T: the duration's variance is about p, and its std underflows a float
+    doc = run_json(capsys, "simulate", "--alphabet", f"H:{p},T:{1 - p}", "--patterns", "HH,T", "--games", "10")
+    assert doc["results"]["duration"]["z"] == "-0.0000"  # the mean, 1 + p, against an empirical 1
+    assert [row["z"] for row in doc["results"]["win"]] == ["-0.0000", "0.0000"]
+    # H against T: every game lasts one trial, so the variance is 0 and a z of 0 means no deviation at all
+    doc = run_json(capsys, "simulate", "--alphabet", "H:1/2,T:1/2", "--patterns", "H,T", "--games", "10")
+    assert doc["results"]["duration"]["z"] == "0"
+
+
+@pytest.mark.parametrize("opponent, reply, odds", [
+    ("HHH", "THH", "7/8"), ("HHT", "THH", "3/4"), ("HTH", "HHT", "2/3"), ("HTT", "HHT", "2/3"),
+    ("THH", "TTH", "2/3"), ("THT", "TTH", "2/3"), ("TTH", "HTT", "3/4"), ("TTT", "HTT", "7/8"),
+])
+def test_best_response_gives_conways_replies_in_penneys_game(capsys, opponent, reply, odds):
+    doc = run_json(capsys, "best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", opponent, "--length", "3")
+    top = doc["results"]["candidates"][0]
+    assert (top["pattern"], top["exact"]) == (reply, odds)
+
+
 def test_best_response_examples(capsys):
     doc = run_json(
         capsys, "best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH",

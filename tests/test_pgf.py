@@ -470,11 +470,12 @@ def record_eliminations(monkeypatch) -> tuple[list, list]:
 
 def test_win_probabilities_alone_cost_one_integer_solve(monkeypatch):
     eliminations, replays = record_eliminations(monkeypatch)
-    built, correlation, solve_n0 = [], DuelSolution._correlation, pgf._solve_n0
+    built, correlation = [], DuelSolution._correlation
     monkeypatch.setattr(DuelSolution, "_correlation", lambda self, t: built.append(t) or correlation(self, t))
-    monkeypatch.setattr(pgf, "_solve_n0", lambda table: built.append(0) or solve_n0(table))  # N_0 is built there
     sol = solve_duel(pset("TTTHTTT", "TTHTTTTHT", "HTHH"))
-    assert sol.win_probs and len(eliminations) == 1 and len(replays) == 1 and built == [0]  # N_1, N_2 wait
+    assert sol.win_probs and len(eliminations) == 1 and len(replays) == 1 and built == []  # N_1, N_2 wait
+    # N_0 is built once, as the rows of the one elimination: [s_i N_0 | s_i], all integers
+    assert [row[:-1] for row in eliminations[0]] == correlation(sol, 0)
     assert all(type(v) is int for row in eliminations[0] for v in row)
     sol.mean, sol.variance, sol.third_central_moment
     # u_1 and u_2 replay N(1)'s one elimination, each verified; u_3 is never needed
@@ -482,7 +483,7 @@ def test_win_probabilities_alone_cost_one_integer_solve(monkeypatch):
     assert len(eliminations) == 1 and [self for self, _ in replays] == [kept] * 3
     assert all(type(v) is int for _, rhs in replays for v in rhs)
     sol.x
-    assert len(eliminations) == 1 and built == [0, 1, 2]  # each N_t built once, and x and D need none of them
+    assert len(eliminations) == 1 and built == [1, 2]  # each N_t built once, and x and D need none of them
 
 
 def test_singular_race_system_names_the_patterns(monkeypatch):
@@ -614,8 +615,9 @@ def test_response_wins_equal_the_race_solution(race):
         assert win.denominator <= 2 * total * q**total
 
 
-def test_best_response_eliminates_each_candidate_once_without_a_race_object(monkeypatch, capsys):
-    eliminations, _ = record_eliminations(monkeypatch)
+def test_best_response_reads_each_candidate_off_conways_rule_without_elimination(monkeypatch, capsys):
+    eliminations, replays = record_eliminations(monkeypatch)
+    monkeypatch.setattr(algebra, "_bareiss", lambda *args: pytest.fail("a candidate went through an elimination"))
     weights, built = [], pgf._weights
     monkeypatch.setattr(pgf, "_weights", lambda symbols, *args: weights.append(symbols) or built(symbols, *args))
 
@@ -630,13 +632,12 @@ def test_best_response_eliminates_each_candidate_once_without_a_race_object(monk
                  "--format", "json"]) == 0
     ranked = json.loads(capsys.readouterr().out)["results"]["candidates"]
     assert len(ranked) == 26  # ABA itself is skipped
-    assert len(eliminations) == len(ranked)  # one 2 x 2 N(1) each
-    assert all(len(rows) == 2 for rows in eliminations)
+    assert eliminations == [] and replays == []  # no Bareiss elimination and no replay: a closed form each
     assert weights.count((0, 1, 0)) == 1 and len(weights) == len(ranked) + 1  # the opponent's weights once
 
 
 def test_a_race_with_a_win_that_is_not_positive_is_refused(monkeypatch):
-    bareiss = pgf._bareiss
+    bareiss, weights = pgf._bareiss, pgf._weights
 
     def skewed(rows):  # a verified-looking solve whose first pattern never wins
         y, d, kept = bareiss(rows)
@@ -645,5 +646,19 @@ def test_a_race_with_a_win_that_is_not_positive_is_refused(monkeypatch):
     monkeypatch.setattr(pgf, "_bareiss", skewed)
     with pytest.raises(ArithmeticError, match="not all positive"):
         solve_duel(pset("HH", "TH"))
-    with pytest.raises(ArithmeticError, match="not all positive"):
-        next(pgf._response_wins(COIN, (0, 0), [(1, 0)]))
+    # TH against HH, both of weights 1, 2, 4: n_AA = 4, n_AB = 0, n_BA = 2, n_BB = 6; a = 6, b = 2, det = 24
+    def wins(candidate, opponent=lambda w: w):  # with TH's weights and HH's transformed
+        transform = {(1, 0): candidate, (0, 0): opponent}
+        monkeypatch.setattr(pgf, "_weights", lambda symbols, *args: transform[symbols](weights(symbols, *args)))
+        return list(pgf._response_wins(COIN, (0, 0), [(1, 0)]))
+
+    negate_s, negate_n = (lambda w: [-w[0], *w[1:]]), (lambda w: [w[0], *(-v for v in w[1:])])
+    for skew in (
+        (negate_s,),  # a = -6, b = 6, det = 24
+        (negate_n,),  # n_AA = -4: a = 6, b = -6, det = -24
+        (negate_n, negate_s),  # and s_B = -1: a = 6, b = 2, det = -24, so u_A, u_B < 0 though a / (a + b) = 3/4
+    ):
+        with pytest.raises(ArithmeticError, match="not all positive"):
+            wins(*skew)
+    # every weight of TH negated negates a, b and det alike (-6, -2, -24): u_A and u_B stand, and so does 3/4
+    assert wins(lambda w: [-v for v in w]) == [F(3, 4)]
