@@ -29,7 +29,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .algebra import RationalFunction
-from .equilibrium import solve_equilibrium
+from .equilibrium import build_equilibrium_system, solve_equilibrium
 from .oracle import oracle_duration, oracle_win_probs, simulate
 from .patterns import (
     Alphabet,
@@ -49,7 +49,7 @@ __all__ = ["main"]
 
 
 class CrossCheckError(ArithmeticError):
-    """The generating-function route disagreed with the stationary-rate or absorbing-chain route."""
+    """duel --method both: the race's rates fail the stationary-rate equations, or the chain or its DP disagrees."""
 
 
 # a series request is refused when its coefficients could print more digits than this: exact
@@ -197,39 +197,37 @@ def cmd_duel(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
     if args.n is not None:
         _check_series_budget(alphabet, args.n, args.digits)
     results: dict = {"method": args.method}
-
-    if args.method != "equilibrium":
-        sol = solve_duel(ps)
-        results["win"] = _win_rows(zip(ps.patterns, sol.win_probs), args.digits)
-        # skewness t / v^(3/2) = sign(t) * sqrt(t^2 / v^3), exact so that no float overflows
-        t, v = sol.third_central_moment, sol.variance
-        results["duration"] = {
-            "mean": _exact_decimal(sol.mean, args.digits),
-            "variance": _exact_decimal(v, args.digits),
-            "std": sqrt_str(v, args.digits),
-            "skewness": "nan" if v == 0 else sqrt_str(t * t / v**3, args.digits, t < 0),
-        }
-        if args.n is not None:
-            series = sol.duration_series(args.n)
-            results["coefficients"] = _series_rows(series, args.digits)
-    if args.method != "pgf":
+    if args.method == "equilibrium":
         eq = solve_equilibrium(ps)
-        rates = [exact_str(yi) for yi in eq.y]
-        win = _win_rows(zip(ps.patterns, eq.win_probs), args.digits)
-        mean = _exact_decimal(eq.expected_duration, args.digits)
-        if args.method == "equilibrium":
-            results.update(win=win, duration={"mean": mean}, rates=rates)
-        elif (eq.win_probs, eq.expected_duration) != (sol.win_probs, sol.mean):
-            raise CrossCheckError("generating-function and stationary-rate results disagree")
-        # the stationary-rate matrix is N(1) with its rows rescaled, so the chain is the
-        # independent check
-        elif oracle_win_probs(ps) != (sol.win_probs, sol.mean, sol.variance):
+        return results | {"win": _win_rows(zip(ps.patterns, eq.win_probs), args.digits),
+                          "duration": {"mean": _exact_decimal(eq.expected_duration, args.digits)},
+                          "rates": [exact_str(yi) for yi in eq.y]}
+
+    chain = oracle_win_probs(ps) if args.method == "both" else None  # over its budget, refused before any solve
+    sol = solve_duel(ps)
+    results["win"] = _win_rows(zip(ps.patterns, sol.win_probs), args.digits)
+    # skewness t / v^(3/2) = sign(t) * sqrt(t^2 / v^3), exact so that no float overflows
+    t, v = sol.third_central_moment, sol.variance
+    results["duration"] = {
+        "mean": _exact_decimal(sol.mean, args.digits),
+        "variance": _exact_decimal(v, args.digits),
+        "std": sqrt_str(v, args.digits),
+        "skewness": "nan" if v == 0 else sqrt_str(t * t / v**3, args.digits, t < 0),
+    }
+    if args.n is not None:
+        series = sol.duration_series(args.n)
+        results["coefficients"] = _series_rows(series, args.digits)
+    if args.method == "both":
+        y = [w / sol.mean for w in sol.win_probs]  # u_0 = N(1)^(-1) 1, the rates the equations are checked at
+        if any(sum(a * yi for a, yi in zip(row, y)) != b for row, b in zip(*build_equilibrium_system(ps))):
+            raise CrossCheckError("generating-function rates do not satisfy the stationary-rate equations")
+        elif chain != (sol.win_probs, sol.mean, sol.variance):  # the independent check of N(1)'s elimination
             raise CrossCheckError("generating-function and absorbing-chain results disagree")
         elif args.n is not None and series[:CHECKED_TERMS + 1] != oracle_duration(ps, min(args.n, CHECKED_TERMS)):
             raise CrossCheckError("duration series and the occupancy DP on the race automaton disagree")
-        else:
-            results["equilibrium"] = {"rates": rates, "win": win, "expected_duration": mean}
-            results["cross_check"] = "ok"
+        results["equilibrium"] = {"rates": [exact_str(yi) for yi in y], "win": results["win"],
+                                  "expected_duration": results["duration"]["mean"]}
+        results["cross_check"] = "ok"
     return results
 
 

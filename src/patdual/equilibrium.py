@@ -7,12 +7,14 @@ inside that window gives one linear equation per pattern:
 
     P(string j) = sum_i y_i * sum_l P(tail of j after l),
 
-l running over the shifts where pattern i overlaps into pattern j.  Win
-probabilities and expected duration follow from the solved rates:
-win_j = y_j / sum(y), duration = 1 / sum(y).  Row j is P(string j) times
-row j of N(1), the generating-function route's correlation matrix, so
-this route checks that route's integer overlap table against string
-probabilities, not its elimination.  It cannot produce higher moments.
+l running over the shifts where pattern i overlaps into pattern j; then
+win_j = y_j / sum(y) and duration = 1 / sum(y); no higher moment follows.
+Row j is P(string j) times row j of N(1), the generating-function route's
+correlation matrix, so y = N(1)^(-1) 1.  `duel --method equilibrium` solves
+for y; `--method both` checks the equations exactly at the rates the other
+route has solved, which checks its overlap table against string
+probabilities, not its elimination.  A wrong system that is singular but
+holds at those rates passes that check, where a solve would refuse it.
 """
 
 from __future__ import annotations

@@ -106,7 +106,7 @@ def test_duel_single_trial_race(capsys):
     assert doc["results"]["duration"]["skewness"] == "nan"  # undefined for a point mass
 
 
-def test_duel_method_equilibrium_and_both(capsys):
+def test_duel_method_equilibrium_and_both(capsys, monkeypatch):
     doc = run_json(
         capsys, "duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH",
         "--method", "equilibrium",
@@ -121,6 +121,32 @@ def test_duel_method_equilibrium_and_both(capsys):
     )
     assert doc["results"]["cross_check"] == "ok"
     assert doc["results"]["equilibrium"]["win"][1]["exact"] == "3/4"
+
+    # both checks the stationary-rate equations at the rates the race has solved, and solves nothing again
+    argv = ("duel", "--alphabet", "A:1/7,B:2/11,C:52/77", "--patterns", "ABC,CAB,BBA")
+    alone = run_json(capsys, *argv, "--method", "equilibrium")["results"]
+    def solved(*args):
+        pytest.fail("the stationary rates were solved")
+
+    monkeypatch.setattr(cli, "solve_equilibrium", solved)
+    monkeypatch.setattr(equilibrium, "solve_linear_system", solved)
+    both = run_json(capsys, *argv, "--method", "both")["results"]
+    assert both["cross_check"] == "ok"
+    assert both["equilibrium"] == {"rates": alone["rates"], "win": alone["win"],
+                                   "expected_duration": alone["duration"]["mean"]}
+
+
+def test_method_both_refuses_rates_that_miss_the_stationary_rate_equations(capsys, monkeypatch):
+    build = cli.build_equilibrium_system
+
+    def skewed(ps):
+        matrix, rhs = build(ps)
+        matrix[1][0] += F(1, 64)
+        return matrix, rhs
+
+    monkeypatch.setattr(cli, "build_equilibrium_system", skewed)
+    code, _, err = run(capsys, "duel", "--alphabet", "H:1/3,T:2/3", "--patterns", "HHT,THH", "--method", "both")
+    assert code == 4 and "stationary-rate equations" in err
 
 
 def test_duel_duration_coefficients_flag(capsys):
@@ -525,6 +551,7 @@ def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch)
     monkeypatch.setattr(cli, "solve_duel", work)
     monkeypatch.setattr(cli, "first_passage_pgf", work)
     monkeypatch.setattr(cli, "_response_wins", work)  # best-response's solves, which do not call solve_duel
+    monkeypatch.setattr(cli, "solve_equilibrium", work)
     for argv in (
         # default --n = 4 * ceil(mean) = 37,320 coefficients over denominators up to 6^37320
         ["first-passage", "--alphabet", "A:1/2,B:1/3,C:1/6", "--patterns", "CCCCC"],
@@ -550,6 +577,8 @@ def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch)
         ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--n", "+" + "1" * 5000],
         # int() reads Arabic-Indic digits, so their value is read whatever the literal's length
         ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--n", "\u0665" * 5000],
+        # 257 transient states: the chain check refuses the race before the race itself is solved
+        ["duel", "--method", "both", "--alphabet", "H:1/2,T:1/2", "--patterns", "H" * 257 + ",T"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 3 and "budget" in err, argv
@@ -623,7 +652,7 @@ def test_duel_series_needs_no_rational_function_elimination(capsys, monkeypatch)
         capsys, "duel", "--alphabet", "A:1/2,B:1/3,C:1/6", "--patterns", "ABA,CAB,BBC", "--method", "both", "--n", "40"
     )
     assert len(doc["results"]["coefficients"]) == 41 and doc["results"]["cross_check"] == "ok"
-    assert solves and all(not isinstance(v, RationalFunction) for _, matrix, _ in solves for row in matrix for v in row)
+    assert solves == []  # the stationary rates are checked at u_0, not solved
     # the coefficients come from the recurrence in t: no polynomial solve, no gcd and no rational function at all
     assert calls == {}
 
@@ -674,14 +703,12 @@ def test_race_systems_are_solved_over_the_integers(capsys, alphabet, monkeypatch
     patterns = "HTTH,TTHT,HHH" if alphabet.startswith("H") else "ABC,CAB,BBA"
     doc = run_json(capsys, "duel", "--alphabet", alphabet, "--patterns", patterns, "--method", "both")
     assert doc["results"]["cross_check"] == "ok"
-    # N(1) is eliminated by pgf itself and the chain by oracle itself; only the stationary rates,
-    # which pass their Fraction system as it is built, go through solve_linear_system, once
-    assert [module for module, _, _ in calls] == [equilibrium]
-    # the stationary-rate solve runs exactly one Bareiss elimination, N(1) and the chain one each: all on integer rows
-    assert [call for module, call, _, _ in eliminations if module is algebra] == [1]
+    # N(1) is eliminated by pgf itself and the chain by oracle itself, one Bareiss elimination each on integer
+    # rows; the stationary rates are checked at u_0, so nothing goes through solve_linear_system
+    assert calls == []
     (n1,) = [kept for module, _, _, kept in eliminations if module is pgf]
     (chain,) = [kept for module, _, _, kept in eliminations if module is oracle]
-    assert len(n1.matrix) == 3 and len(eliminations) == 3
+    assert len(n1.matrix) == 3 and len(eliminations) == 2
     symbols = parse_alphabet(alphabet)
     ps = PatternSet(symbols, tuple(Pattern.parse(text, symbols) for text in patterns.split(",")))
     assert len(chain.matrix) == oracle.build_automaton(ps).n_transient
@@ -690,7 +717,7 @@ def test_race_systems_are_solved_over_the_integers(capsys, alphabet, monkeypatch
     # on N(1)'s and the second visits on the chain's
     counts = [sum(self is kept for self, _ in replays) for *_, kept in eliminations]
     assert counts == [3 if kept is n1 else 2 if kept is chain else 1 for *_, kept in eliminations]
-    assert len(replays) == 6
+    assert len(replays) == 5
     assert all(type(v) is int for _, rhs in replays for v in rhs)
 
 
@@ -1069,6 +1096,7 @@ def test_benchmark_tracer_leaves_output_unchanged(capsys, monkeypatch):
 
     requests = [
         ["duel", "--alphabet", "H:1/3,T:2/3", "--patterns", "HHT,THH", "--method", "both"],
+        ["duel", "--alphabet", "H:1/3,T:2/3", "--patterns", "HHT,THH", "--method", "equilibrium"],
         ["first-passage", "--alphabet", "H:1/2,T:1/2", "--patterns", "HTH", "--n", "5", "--format", "csv"],
         ["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HHT", "--length", "3"],
         ["simulate", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--games", "500", "--format", "json"],
