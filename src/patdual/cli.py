@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .algebra import RationalFunction
@@ -43,7 +43,7 @@ from .patterns import (
     exact_str,
     parse_alphabet,
 )
-from .pgf import DuelSolution, _response_wins, first_passage_pgf, solve_duel
+from .pgf import _EXACT, DuelSolution, _response_wins, first_passage_pgf, solve_duel
 
 __all__ = ["main"]
 
@@ -75,13 +75,12 @@ def decimal_str(x: Fraction, digits: int) -> str:
     """Fixed-point decimal rendering with round-half-even; a value that rounds to 0 has no sign."""
     if digits < 0:
         raise ValueError("digits must be >= 0")
-    return _rounded_str(x, digits, digits)
+    return _rounded_str(x.numerator, x.denominator, 10**digits, digits)
 
 
-def _rounded_str(x: Fraction, scale: int, digits: int) -> str:
-    """|x| * 10**scale rounded half to even, rendered with `digits` decimals and x's sign unless it rounds to 0."""
-    num, den = x.numerator, x.denominator
-    scaled, rest = divmod(abs(num) * 10**scale, den)
+def _rounded_str(num, den, unit, digits: int) -> str:
+    """|num| / den * unit (10^k of num's type) rounded half to even, in `digits` decimals; signed as num unless 0."""
+    scaled, rest = divmod(abs(num) * unit, den)
     if 2 * rest > den or (2 * rest == den and scaled % 2):
         scaled += 1
     return _fixed_point(scaled, digits, num < 0 and scaled > 0)
@@ -103,7 +102,7 @@ def sqrt_str(x: Fraction, digits: int, negative: bool = False) -> str:
 
 def percent_str(x: Fraction, digits: int) -> str:
     """decimal_str(100 x, max(digits - 2, 0)) + "%", without forming 100 x: x rounded at max(digits, 2) places."""
-    return _rounded_str(x, max(digits, 2), max(digits - 2, 0)) + "%"
+    return _rounded_str(x.numerator, x.denominator, 10 ** max(digits, 2), max(digits - 2, 0)) + "%"
 
 
 def _exact_decimal(x: Fraction, digits: int) -> dict:
@@ -118,8 +117,12 @@ def _win_rows(pairs, digits: int) -> list[dict]:
     ]
 
 
-def _series_rows(coeffs, digits: int) -> list[dict]:
-    return [{"n": i, **_exact_decimal(c, digits)} for i, c in enumerate(coeffs)]
+def _series_rows(pairs, digits: int) -> list[dict]:
+    """One {n, exact, decimal} row per (numerator, denominator) pair of `DuelSolution._series_pairs`, in Decimal."""
+    with localcontext(_EXACT):
+        unit = Decimal(10) ** digits  # born in decimal radix: converting an int 10**digits would be quadratic
+        return [{"n": t, "exact": str(a) if b == 1 else f"{a}/{b}", "decimal": _rounded_str(a, b, unit, digits)}
+                for t, (a, b) in enumerate(pairs)]
 
 
 def _check_series_budget(alphabet: Alphabet, n: int, digits: int) -> None:
@@ -186,7 +189,7 @@ def cmd_first_passage(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict
         "pgf": _rf_json(pgf),
         "mean": _exact_decimal(sol.mean, args.digits),
         "variance": _exact_decimal(sol.variance, args.digits),
-        "coefficients": _series_rows(sol.duration_series(n), args.digits),
+        "coefficients": _series_rows(sol._series_pairs(n, Decimal), args.digits),
     }
 
 
@@ -215,15 +218,15 @@ def cmd_duel(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict:
         "skewness": "nan" if v == 0 else sqrt_str(t * t / v**3, args.digits, t < 0),
     }
     if args.n is not None:
-        series = sol.duration_series(args.n)
-        results["coefficients"] = _series_rows(series, args.digits)
+        results["coefficients"] = _series_rows(sol._series_pairs(args.n, Decimal), args.digits)
     if args.method == "both":
         y = [w / sol.mean for w in sol.win_probs]  # u_0 = N(1)^(-1) 1, the rates the equations are checked at
         if any(sum(a * yi for a, yi in zip(row, y)) != b for row, b in zip(*build_equilibrium_system(ps))):
             raise CrossCheckError("generating-function rates do not satisfy the stationary-rate equations")
         elif chain != (sol.win_probs, sol.mean, sol.variance):  # the independent check of N(1)'s elimination
             raise CrossCheckError("generating-function and absorbing-chain results disagree")
-        elif args.n is not None and series[:CHECKED_TERMS + 1] != oracle_duration(ps, min(args.n, CHECKED_TERMS)):
+        elif args.n is not None and [row["exact"] for row in results["coefficients"][:CHECKED_TERMS + 1]] != [
+                exact_str(c) for c in oracle_duration(ps, min(args.n, CHECKED_TERMS))]:  # the printed terms
             raise CrossCheckError("duration series and the occupancy DP on the race automaton disagree")
         results["equilibrium"] = {"rates": [exact_str(yi) for yi in y], "win": results["win"],
                                   "expected_duration": results["duration"]["mean"]}

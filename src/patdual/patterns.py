@@ -36,18 +36,20 @@ SymbolSeq = tuple[int, ...]
 _INT_RE = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*")
 
 
-def exact_str(x: int | Fraction) -> str:
-    """str(x) for an int or a Fraction of any size, whatever the interpreter's int-to-text digit limit.
+def exact_str(x: int | Fraction | Decimal) -> str:
+    """str(x) for an int, Fraction or Decimal integer of any size, whatever the interpreter's int-to-text digit limit.
 
     An int that could have more digits than the limit goes through `decimal.Decimal`, which converts
     exactly and ignores the limit; any other value takes plain `str`.
     """
+    if isinstance(x, int):
+        limit = sys.get_int_max_str_digits()
+        # |x| < 2**(3 limit) < 10**limit has at most `limit` digits
+        return str(x) if not limit or x.bit_length() <= 3 * limit else str(Decimal(x))
     if isinstance(x, Fraction):
         num, den = x.numerator, x.denominator
         return exact_str(num) if den == 1 else f"{exact_str(num)}/{exact_str(den)}"
-    limit = sys.get_int_max_str_digits()
-    # |x| < 2**(3 limit) < 10**limit has at most `limit` digits
-    return str(x) if not limit or x.bit_length() <= 3 * limit else str(Decimal(x))
+    return str(x)  # a Decimal integer, which libmpdec prints in linear time
 
 
 def exact_int(text: str) -> int:

@@ -29,9 +29,9 @@ wins if it opens the game).  Two players need no elimination: with n_XY the
 sum of X's w_l over the shifts of Y into X and s_X = w_0, Cramer's rule gives
 Conway's, A wins with probability a / (a + b), a = s_A n_BB - s_B n_AB and
 b = s_B n_AA - s_A n_BA; `_response_wins` checks a, b and det N(1): nonzero, one sign.
-The duration series needs no rational function either: `duration_series`
-reads P(T = t) off the table's shifts by a recurrence in t, over integers,
-and `_over_power` reduces each term over d^t by the primes of d alone.
+The duration series needs no rational function either: `_series_pairs`
+reads P(T = t) off the table's shifts by a recurrence in t over word sums,
+on exact integers kept small by one-word residues: ints, or Decimals.
 
 The rational functions x and D are each built on first read, without
 rational-function elimination: with L the longest pattern, row i of
@@ -46,6 +46,7 @@ With m = 1, y = s and det = s N(z) z^L, which gives F(z) above.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm, ldexp, prod
@@ -71,6 +72,8 @@ __all__ = [
 
 
 _ONE_MINUS_Z = Poly((1, -1))
+# integers in decimal radix, exact: a result that would be rounded raises, so a Decimal sum or product is the int's
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, InvalidOperation, Rounded])
 
 
 def first_passage_pgf(pattern: Pattern) -> RationalFunction:
@@ -103,17 +106,31 @@ def _weights(symbols: SymbolSeq, nums: list[int], dens: list[int]) -> list[int]:
     return w
 
 
-def _over_power(x: int, twos: int, odd: int, odd_t: int) -> Fraction:
-    """x / (2^twos odd_t) in lowest terms, odd_t a power of the odd odd: a wide gcd only if x and odd share a prime."""
+def _modulus(d: int) -> int:
+    """2^k o^j, o the odd part of d, j >= 1 the most with o^j under 2^32, and 2^k, if d is even, the rest of 63 bits but
+    at least 2^31: it holds every prime of d, and unless o is wider than 32 bits its residues take one word."""
+    a = (d & -d).bit_length() - 1
+    o = o_j = d >> a
+    while 1 < o and o_j * o < 2**32:
+        o_j *= o
+    return o_j << (max(31, 63 - o_j.bit_length()) if a else 0)
+
+
+def _reduced(x, scale, m: int, big) -> tuple:
+    """x / scale in lowest terms, a pair of x's type (int, or Decimal in `_EXACT`), if scale > 0 and m = gcd(scale, big)
+    holds every prime of scale.  gcd(x, scale) is gcd(x mod big, m), one word if big is, unless a prime divides it as
+    often as m holds it: then x may hold that prime more often, and the gcd is taken wide."""
     if not x:
-        return Fraction(0)
-    v = min((x & -x).bit_length() - 1, twos)  # the 2s by a shift
-    x >>= v
-    if gcd(x % odd, odd) > 1:  # a prime of odd divides x
-        g = gcd(x, odd_t)
-        x, odd_t = x // g, odd_t // g
-    f = object.__new__(Fraction)  # x and the denominator are coprime, so Fraction's own gcd would find 1
-    f._numerator, f._denominator = x, odd_t << (twos - v)
+        return x, type(x)(1)
+    g = gcd(int(x % big), m)
+    if g > 1 and pow(m // g, g.bit_length(), g):  # a prime of g is not left over in m / g
+        g = gcd(int(x), int(scale))
+    return (x // g, scale // g) if g > 1 else (x, scale)  # g divides both, so // is exact
+
+
+def _fraction(pair) -> Fraction:
+    f = object.__new__(Fraction)  # an int pair in lowest terms: Fraction's own gcd would find 1
+    f._numerator, f._denominator = pair
     return f
 
 
@@ -198,51 +215,69 @@ class DuelSolution:
         return RationalFunction(shift * total, den)
 
     def duration_series(self, n: int) -> SeriesPrefix:
-        """P(T = t), t = 0 .. n, by the recurrence in t of Guibas and Odlyzko (J. Combin. Theory A 30, 1981).
+        """P(T = t), t = 0 .. n, read off `_series_pairs` over int."""
+        return tuple(map(_fraction, self._series_pairs(n, int)))
 
-        With s[t] = P(T > t), x_j[t] = P(j wins at t) = P_j s[t - L_j] - sum P(j[l:]) x_i[t - L_j + l] over the
-        overlap shifts l of each i into j but (j, L_j), and s[t] = s[t - 1] - sum_j x_j[t].  No pattern contains
-        another, so all these are earlier than t.  Times d^t, d the lcm of the denominators of the patterns' symbols,
-        every term is an integer.  Only P(T = t) is divided, by `_over_power`: a shift for the 2s of d^t, and a gcd
-        with d's odd part to the t only when they share a prime.  A negative x_j[t] or s[t] is an ArithmeticError.
-        """
+    def _series_pairs(self, n: int, number: type) -> Iterator[tuple]:
+        """P(T = t), t = 0 .. n, as pairs in lowest terms of type number (int, or Decimal in `_EXACT`, which the caller
+        enters), by the recurrence in t of Guibas and Odlyzko (J. Combin. Theory A 30, 1981).  With s[t] = P(T > t),
+        x_j[t] = P(j wins at t) = P_j s[t - L_j] - sum P(j[l:]) A_(j[:l])[t - L_j + l] over the overlap shifts l < L_j
+        of any pattern into j, A_w summing x_i over the patterns i that end in the word w, and s[t] = s[t - 1] -
+        sum_j x_j[t], all earlier than t as no pattern contains another.  Times d^t, d the lcm of the patterns' symbol
+        denominators, all are integers (a negative one is an ArithmeticError); the recurrence is linear, so every L
+        steps, L the longest pattern, the values it reads again and their scale are divided by their common factor."""
         if n < 0:
             raise ValueError("series length must be >= 0")
         patterns, probs = self.pattern_set.patterns, self.pattern_set.alphabet.probs
         d = lcm(*(probs[c].denominator for p in patterns for c in set(p.symbols)))
-        # h holds the steps so far, each x_0 .. x_(m-1) then s, times d^t; step t starts at h[now], so x_i[t - k]
-        # is h[now + i - k width] and s[t - k] is h[now + m - k width]
-        m = len(patterns)
-        width, rows = m + 1, []
+        rows = []
         for pattern, (_, shifts) in zip(patterns, self._table):
             tail, size = [1], len(pattern)  # tail[k] = P(pattern[size - k:]) d^k
             for c in reversed(pattern.symbols):
                 tail.append(tail[-1] * probs[c].numerator * (d // probs[c].denominator))
-            # a shift l = L_j is j's own, since no pattern contains another: the x_j[t] being solved for
-            rows.append((m - size * width, tail[size], [(i - (size - l) * width, tail[size - l])
-                                                         for i, ls in enumerate(shifts) for l in ls if l < size]))
-        window = width * max(len(p) for p in patterns)
-        h = [0] * (window - 1) + [1]  # every step before t = 0 is 0, and s[0] = 1
-        a = (d & -d).bit_length() - 1  # d = 2^a o, o odd
-        out, o, o_t = [Fraction(0)], d >> a, 1
-        for _ in range(n):
-            now, total = len(h), 0
-            for s_at, head, terms in rows:
+            # per shift l, the patterns i that end in pattern[:l]; l = L_j is j's own, since no pattern contains another
+            rows.append((size, tail, {l: tuple(i for i, ls in enumerate(shifts) if l in ls)
+                                      for ls in shifts for l in ls if l < size}))
+        # words that the same patterns end in share one sum: first the sums of one x_i, then those of two or more
+        sums = sorted({ends for _, _, words in rows for ends in words.values()}, key=len)
+        # h holds the steps so far, each these sums then s, times d^t over the factors divided out; step t starts at
+        # h[now], so A_w[t - k] is h[now + (place of w's sum) - k width] and s[t - k] is h[now + width - 1 - k width]
+        width, longest, place = len(sums) + 1, max(len(p) for p in patterns), {e: k for k, e in enumerate(sums)}
+        for k, (size, tail, words) in enumerate(rows):  # a coefficient 1, as on the fair coin, is not multiplied
+            terms = [(place[ends] - (size - l) * width, tail[size - l]) for l, ends in words.items()]
+            rows[k] = (width - 1 - size * width, number(tail[size]),
+                       [at for at, c in terms if c == 1], [(at, number(c)) for at, c in terms if c != 1])
+        alone = [e[0] for e in sums if len(e) == 1]
+        sums, window, big = sums[len(alone):], width * longest, _modulus(d)
+        h, scale, m, step, residue = [number(0)] * (window - 1) + [number(1)], number(1), 1, number(d), number(big)
+        yield number(0), scale  # every step before t = 0 is 0, and s[0] = 1
+        for t in range(1, n + 1):
+            if t % longest == 0:  # the last window is all that is read again
+                g = m
+                for v in h[-window:]:
+                    if g == 1:
+                        break
+                    g = gcd(int(v % g), g)
+                if g > 1:  # g divides every value read again, and the scale, so // is exact
+                    h[-window:], scale = [v // g for v in h[-window:]], scale // g
+                    m = gcd(int(scale % big), big)
+            now, x = len(h), []
+            for s_at, head, ones, terms in rows:
                 v = head * h[now + s_at]
+                for at in ones:
+                    v -= h[now + at]
                 for at, c in terms:
                     v -= c * h[now + at]
-                if v < 0:
-                    raise ArithmeticError("duration series has a negative term; inputs violate an invariant")
-                h.append(v)
-                total += v
-            h.append(d * h[now - 1] - total)
-            if h[-1] < 0:
+                x.append(v)
+            total = sum(x)
+            h += [x[i] for i in alone] + [sum([x[i] for i in e]) for e in sums]
+            h.append(step * h[now - 1] - total)
+            if min(x) < 0 or h[-1] < 0:
                 raise ArithmeticError("duration series has a negative term; inputs violate an invariant")
-            if now > 8 * window:  # only the last window is read again
+            scale, m = scale * step, gcd(m * d % big, big)  # m = gcd(scale, big)
+            if now > 8 * window:
                 del h[:-window]
-            o_t *= o
-            out.append(_over_power(total, a * len(out), o, o_t))  # total / d^t, with d^t = 2^(a t) o^t
-        return tuple(out)
+            yield _reduced(total, scale, m, residue)
 
     @cached_property
     def _at_one(self) -> tuple[Fraction, ...]:

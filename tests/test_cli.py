@@ -1,12 +1,14 @@
 import argparse
 import contextlib
 import csv
+import decimal
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patdual import algebra, cli, equilibrium, oracle, pgf
+from patdual import algebra, cli, equilibrium, oracle, patterns, pgf
 from patdual.algebra import Poly, RationalFunction, SingularMatrixError
 from patdual.cli import decimal_str, main, percent_str, sqrt_str
 from patdual.patterns import Alphabet, Pattern, PatternSet, exact_str, parse_alphabet
@@ -547,7 +549,8 @@ def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch)
         raise AssertionError("work started")
 
     monkeypatch.setattr(RationalFunction, "series", work)
-    monkeypatch.setattr(pgf.DuelSolution, "duration_series", work)  # the series of duel --n and first-passage
+    monkeypatch.setattr(pgf.DuelSolution, "duration_series", work)
+    monkeypatch.setattr(pgf.DuelSolution, "_series_pairs", work)  # the series of duel --n and first-passage
     monkeypatch.setattr(cli, "solve_duel", work)
     monkeypatch.setattr(cli, "first_passage_pgf", work)
     monkeypatch.setattr(cli, "_response_wins", work)  # best-response's solves, which do not call solve_duel
@@ -669,11 +672,74 @@ def test_fair_coin_series_takes_no_wide_gcd(capsys, monkeypatch):
     coin = Alphabet.coin(F(1, 2))
     sol = pgf.DuelSolution(PatternSet(coin, tuple(Pattern.parse(text, coin) for text in ("HTHHT", "THTTH", "HHHTT"))))
     series = sol.duration_series(2000)
-    # d = 2: each term's denominator 2^t is reduced by a shift, and the term is built without Fraction's own gcd
+    # d = 2: each term is reduced by a one-word residue, and built without Fraction's own gcd
     assert series[2000].denominator.bit_length() > 1000 and widths and max(widths) <= 64
     doc = run_json(capsys, "duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HTHHT,THTTH,HHHTT", "--method", "both",
                    "--n", "40")
     assert doc["results"]["cross_check"] == "ok"
+
+
+def test_three_symbol_series_takes_no_wide_gcd_and_prints_no_wide_int(capsys, monkeypatch):
+    widths = []
+
+    def recorded(*args, gcd=math.gcd):
+        widths.append(max(abs(v).bit_length() for v in args))
+        return gcd(*args)
+
+    def narrow(x, exact_str=cli.exact_str):
+        assert not isinstance(x, int) or x.bit_length() <= 64, "an int past one word printed"
+        return exact_str(x)
+
+    monkeypatch.setattr(math, "gcd", recorded)
+    monkeypatch.setattr(pgf, "gcd", recorded)
+    monkeypatch.setattr(cli, "exact_str", narrow)
+    monkeypatch.setattr(patterns, "exact_str", narrow)  # exact_str of a Fraction prints its parts through this name
+    doc = run_json(capsys, "first-passage", "--alphabet", "A:1/2,B:1/3,C:1/6", "--patterns", "ACBBCB", "--n", "2000")
+    # d = 6: the terms are reduced by one-word residues, once the state's common content is divided out, and born
+    # in decimal radix, so that they print with no int-to-text conversion
+    rows = doc["results"]["coefficients"]
+    assert len(rows) == 2001 and len(rows[2000]["exact"]) > 2000 and widths and max(widths) <= 64
+
+
+def test_a_callers_decimal_context_and_threads_change_no_series_byte(monkeypatch):
+    argvs = [["first-passage", "--alphabet", "A:1/2,B:1/3,C:1/6", "--patterns", "ACBBCB", "--n", "400"],
+             ["duel", "--alphabet", "H:1/3,T:2/3", "--patterns", "HHT,THTH", "--n", "500", "--format", "csv"],
+             ["duel", "--alphabet", "H:1/2,T:1/2", "--patterns", "HTH,HHTT", "--n", "500", "--digits", "30"]]
+    local = threading.local()
+
+    class Router(io.TextIOBase):  # each thread prints to its own buffer
+        def write(self, text):
+            return local.out.write(text)
+
+    def request(argv, results, context=None):
+        local.out = io.StringIO()
+        if context:
+            decimal.setcontext(context)
+        results[tuple(argv)] = (main(argv), local.out.getvalue())
+
+    monkeypatch.setattr(sys, "stdout", Router())
+    alone, loose, together = {}, {}, {}
+    for argv in argvs:
+        request(argv, alone)
+    loose_context = decimal.Context(prec=3, traps=[])
+    with decimal.localcontext(loose_context) as caller:
+        for argv in argvs:
+            request(argv, loose)
+        assert decimal.getcontext() is caller and caller.prec == 3
+        assert not any(caller.traps.values()) and not any(caller.flags.values())
+    assert loose == alone and all(code == 0 for code, _ in alone.values())
+    threads = [threading.Thread(target=request, args=(argv, together, loose_context.copy()))
+               for argv in argvs + argvs[::-1]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often, so that their decimal contexts would mix if they were shared
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and together == alone
 
 
 def test_first_passage_series_comes_from_the_recurrence(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -300,6 +301,7 @@ def recurrence_races(draw):
 
 # q = 9, but the patterns use only the symbols at 1/3, so the recurrence scales by d = 3
 NINTHS = Alphabet(("A", "B", "C", "D"), (F(1, 3), F(1, 3), F(2, 9), F(1, 9)))
+THREE = Alphabet(("A", "B", "C"), (F(1, 2), F(1, 3), F(1, 6)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -311,36 +313,57 @@ NINTHS = Alphabet(("A", "B", "C", "D"), (F(1, 3), F(1, 3), F(2, 9), F(1, 9)))
 @example(pset("HTH", "THHT", alphabet=Alphabet.coin(F(1, 10**20 + 1))), 60)  # d = 10^20 + 1, odd and composite
 @example(pset("HH", "THT"), 0)
 @example(pset("H", alphabet=Alphabet.coin(F(1, 3))), 1)
+# d = 6: the state's common content grows with t and is divided out; AABC,CACAAA also takes the wide gcd
+@example(pset("ACBBCB", alphabet=THREE), 60)
+@example(pset("AABC", "CACAAA", alphabet=THREE), 60)
+# d = 2^70: 2-valuations past one word, so that most terms take the wide gcd
+@example(pset("HHT", "TTH", alphabet=Alphabet.coin(F(1, 2**70))), 60)
+# d = 10^50 + 1: an odd part wider than one word, so residues take several words, and three terms the wide gcd
+@example(pset("HTH", "THHT", alphabet=Alphabet.coin(F(1, 10**50 + 1))), 60)
+@example(pset(*["".join(p) for p in itertools.product("HT", repeat=5)][:24]), 60)  # 24 patterns sharing words
 def test_duration_series_by_recurrence_matches_the_pgf_and_the_occupancy_dp(ps, n):
     sol = DuelSolution(ps)
-    assert sol.duration_series(n) == sol.duration.series(n) == oracle_duration(ps, n)
+    series = sol.duration_series(n)
+    assert series == sol.duration.series(n) == oracle_duration(ps, n)
+    with localcontext(pgf._EXACT):
+        pairs = list(sol._series_pairs(n, Decimal))
+    # the pairs the command line prints are the same, in decimal radix, and each in lowest terms
+    assert all(type(a) is type(b) is Decimal for a, b in pairs)
+    assert [(int(a), int(b)) for a, b in pairs] == [(c.numerator, c.denominator) for c in series]
+    assert all(b > 0 and math.gcd(int(a), int(b)) == 1 for a, b in pairs)
 
 
 @st.composite
 def over_powers(draw):
-    """x, d and t with 0 <= x <= d^t; x is often 0, d^t, a multiple of o^t, or has more than a t trailing zeros,
-    where d = 2^a o with o odd."""
+    """x, d and a scale d^t / c, c a divisor of d^t as dividing out common content leaves, with 0 <= x <= scale;
+    x is often 0, the scale, a multiple of the scale's odd part, or has more trailing zeros than the scale."""
     d = draw(st.one_of(st.builds(lambda i: 2**i, st.integers(0, 8)), st.sampled_from([101, 6, 10, 45, 10**50 + 1]),
                        st.builds(lambda i, j: 2**i * 3**j, st.integers(0, 6), st.integers(0, 6))))
-    t = draw(st.integers(0, 80))
-    a = (d & -d).bit_length() - 1
-    o_t = (d >> a) ** t
-    x = draw(st.one_of(st.just(0), st.just(d**t), st.integers(0, 2 ** (a * t)).map(lambda k: k * o_t),
-                       st.integers(0, o_t // 2).map(lambda k: k << (a * t + 1)), st.integers(0, d**t)))
-    return x, d, t
+    d_t = d ** draw(st.integers(0, 80))
+    scale = d_t // draw(st.one_of(st.just(1), st.just(d_t), st.integers(1, d_t).map(lambda r: math.gcd(d_t, r))))
+    a = (scale & -scale).bit_length() - 1
+    odd = scale >> a
+    x = draw(st.one_of(st.just(0), st.just(scale), st.integers(0, 2**a).map(lambda k: k * odd),
+                       st.integers(0, odd // 2).map(lambda k: k << (a + 1)), st.integers(0, scale)))
+    return x, d, scale
 
 
 @settings(max_examples=300, deadline=None)
-@given(over_powers())
-def test_a_series_term_reduced_by_the_primes_of_d_is_the_fraction(xdt):
-    x, d, t = xdt
-    a = (d & -d).bit_length() - 1
-    reduced, fraction = pgf._over_power(x, a * t, d >> a, (d >> a) ** t), F(x, d**t)
+@given(over_powers(), st.sampled_from([int, Decimal]))
+def test_a_series_term_reduced_by_the_primes_of_d_is_the_fraction(xds, number):
+    x, d, scale = xds
+    big, fraction = pgf._modulus(d), F(x, scale)
+    with localcontext(pgf._EXACT):
+        pair = pgf._reduced(number(x), number(scale), math.gcd(scale, big), number(big))
+    assert type(pair[0]) is type(pair[1]) is number
+    reduced = pgf._fraction(tuple(map(int, pair)))
     assert type(reduced) is F
     assert (reduced, reduced.numerator, reduced.denominator, hash(reduced)) == (
         fraction, fraction.numerator, fraction.denominator, hash(fraction))
-    # _over_power sets these two slots itself: a Fraction laid out otherwise must fail here, not print wrong fractions
+    # _fraction sets these two slots itself: a Fraction laid out otherwise must fail here, not print wrong fractions
     assert F.__slots__ == ("_numerator", "_denominator")
+    odd = d >> (d & -d).bit_length() - 1  # every prime of d is in big, and its residues take one word if odd does
+    assert big % odd == 0 == big % math.gcd(d, 2) and (big < 10**19 or odd >= 2**32)
 
 
 def test_duration_series_with_a_negative_term_is_refused():
