@@ -4,6 +4,7 @@ Subcommands: first-passage, duel, simulate, best-response.  Probabilities
 are accepted only as exact fraction literals and every exact quantity is
 emitted as a num/den string, so JSON output round-trips without loss.
 Decimal renderings use round-half-even at the configured digit count.
+JSON is json.dump(indent=2)'s bytes; series rows are written from a template.
 
 Exit codes: 0 success, 2 parse/usage errors, 3 precondition violations
 (invalid pattern sets, requests over a work budget and the like), 4 internal
@@ -118,11 +119,24 @@ def _win_rows(pairs, digits: int) -> list[dict]:
 
 
 def _series_rows(pairs, digits: int) -> list[dict]:
-    """One {n, exact, decimal} row per (numerator, denominator) pair of `DuelSolution._series_pairs`, in Decimal."""
+    """One {n, exact, decimal} row per (numerator, denominator) pair of `DuelSolution._series_pairs`, in Decimal.
+
+    The pairs are integers >= 0, so each decimal is `_rounded_str`'s, made inline; a pair whose exponents show
+    a / b < 10^-(digits + 1), under half a unit in the last place, prints as 0 without a division.
+    """
+    rows, zero = [], _fixed_point(0, digits, False)
     with localcontext(_EXACT):
         unit = Decimal(10) ** digits  # born in decimal radix: converting an int 10**digits would be quadratic
-        return [{"n": t, "exact": str(a) if b == 1 else f"{a}/{b}", "decimal": _rounded_str(a, b, unit, digits)}
-                for t, (a, b) in enumerate(pairs)]
+        for t, (a, b) in enumerate(pairs):
+            decimal = zero  # unless a / b >= 10^-(digits + 1), as a < 10^(a.adjusted() + 1) and b >= 10^b.adjusted()
+            if a.adjusted() - b.adjusted() > -digits - 2:
+                scaled, rest = divmod(a * unit, b)
+                if 2 * rest > b or (2 * rest == b and scaled % 2):
+                    scaled += 1
+                decimal = str(scaled).rjust(digits + 1, "0")
+                decimal = decimal[:-digits] + "." + decimal[-digits:] if digits else decimal
+            rows.append({"n": t, "exact": str(a) if b == 1 else str(a) + "/" + str(b), "decimal": decimal})
+    return rows
 
 
 def _check_series_budget(alphabet: Alphabet, n: int, digits: int) -> None:
@@ -388,6 +402,21 @@ def _render_csv(doc: dict, out) -> None:
     writer.writerows([row[col] for col in columns] for row in rows)
 
 
+class _SeriesEncoder(json.JSONEncoder):
+    """json.dump(indent=2)'s encoder, but a doc's coefficient rows are written one by one from a template: their
+    strings hold only digits, '/', '.' and '-', as `_render_csv` relies on too, so they need no escaping."""
+
+    def iterencode(self, o, _one_shot=False):
+        if not (rows := o["results"].get("coefficients")):
+            return super().iterencode(o, _one_shot)
+        # one match: its unescaped second quote ends a string that ': ' makes a key, and only results has this key
+        head, tail = "".join(super().iterencode({**o, "results": o["results"] | {"coefficients": []}}, True)).split(
+            '"coefficients": []')
+        rows = (',\n      {\n        "n": %d,\n        "exact": "%s",\n        "decimal": "%s"\n      }'
+                % (r["n"], r["exact"], r["decimal"]) for r in rows)  # one write each: one string would double the peak
+        return itertools.chain([head + '"coefficients": [' + next(rows)[1:]], rows, ["\n    ]" + tail])  # 1st: no ','
+
+
 def _int_in(low: int, high: int | None = None):
     """argparse type: an integer in [low, high), so that other values are usage errors (exit 2)."""
 
@@ -495,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         if args.format == "json":
-            json.dump(doc, out, indent=2)
+            json.dump(doc, out, indent=2, cls=_SeriesEncoder)
             print(file=out)
         elif args.format == "csv":
             _render_csv(doc, out)

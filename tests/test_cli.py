@@ -13,7 +13,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patdual import algebra, cli, equilibrium, oracle, patterns, pgf
@@ -45,6 +45,7 @@ def test_decimal_rendering_is_half_even():
     assert decimal_str(F(-1, 200), 2) == "0.00"  # -0.005 rounds to even, 0, which has no sign
     assert decimal_str(F(-1, 150), 2) == "-0.01"
     assert decimal_str(F(5), 0) == "5"
+    assert decimal_str(F(1, 2), 0) == "0" and decimal_str(F(3, 2), 0) == "2"
     assert percent_str(F(62, 71), 4) == "87.32%"
     assert percent_str(F(9, 71), 4) == "12.68%"
     assert sqrt_str(F(14884), 1) == "122.0"
@@ -391,6 +392,65 @@ def test_series_csv_is_what_csv_writer_writes(rows):
     assert out.getvalue() == csv_text([["n", "exact", "decimal"], *([r["n"], r["exact"], r["decimal"]] for r in rows)])
 
 
+@st.composite
+def series_docs(draw):
+    """Docs shaped as `main` builds them: first-passage, duel --method both with a series, and one with none."""
+    label = st.text(max_size=4)  # symbols and pattern texts may hold quotes, backslashes and non-ASCII text
+    command = draw(st.sampled_from(["first-passage", "duel", "duel without series"]))
+    patterns = draw(st.lists(label, min_size=1, max_size=3))
+    mean = {"exact": "9110/71", "decimal": "128.3099"}
+    if command == "first-passage":
+        results = {"pattern": patterns[0], "pgf": {"numerator": ["0", "0", "1/4"], "denominator": ["1", "-1", "1/4"]},
+                   "mean": mean, "variance": mean, "coefficients": draw(series_rows())}
+    else:
+        win = [{"pattern": p, "exact": "1/3", "decimal": "0.3333", "percent": "33.33%"} for p in patterns]
+        results = {"method": "both", "win": win,
+                   "duration": {"mean": mean, "variance": mean, "std": "122.0", "skewness": "-0.0001"}}
+        if command == "duel":
+            results["coefficients"] = draw(series_rows())
+        results |= {"equilibrium": {"rates": ["1/7", "2/7"], "win": win, "expected_duration": mean},
+                    "cross_check": "ok"}
+    alphabet = [{"symbol": s, "prob": "1/2"} for s in draw(st.lists(label, min_size=2, max_size=3))]
+    return {"command": command.split()[0], "alphabet": alphabet, "patterns": patterns, "results": results}
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_docs())
+def test_series_json_is_what_the_standard_encoder_writes(doc):
+    out = io.StringIO()
+    json.dump(doc, out, indent=2, cls=cli._SeriesEncoder)
+    assert out.getvalue() == json.dumps(doc, indent=2)
+
+
+@st.composite
+def threshold_pairs(draw):
+    """(a, b, digits), a / b just below, at or just above (2j + 1) / 2 10^-digits, j = 0 the least that rounds up."""
+    digits, m = draw(st.integers(0, 12)), draw(st.integers(1, 10 ** draw(st.sampled_from([1, 6, 40]))))
+    a, b = m * (2 * draw(st.integers(0, 3)) + 1), 2 * 10**digits * m
+    if draw(st.booleans()):
+        a += draw(st.sampled_from([-1, 0, 1]))
+    else:
+        b += draw(st.sampled_from([-1, 0, 1]))
+    return a, b, digits
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    threshold_pairs(),
+    # powers of ten on either side of the exponent test a.adjusted() - b.adjusted() > -digits - 2
+    st.builds(lambda k, e, da, db, digits: (10**k + da, 10 ** (k + digits + e) + db, digits),
+              st.integers(1, 30), st.integers(0, 3), st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]),
+              st.integers(0, 12)),
+    st.tuples(st.integers(0, 10**60), st.integers(1, 10**60), st.integers(0, 12)),
+))
+@example((1, 2, 0))  # ties at no digits: 1/2 prints 0 and 3/2 prints 2
+@example((3, 2, 0))
+def test_series_decimal_is_decimal_str_of_its_pair(case):
+    a, b, digits = case
+    row = cli._series_rows([(decimal.Decimal(a), decimal.Decimal(b))], digits)[0]
+    assert row["decimal"] == decimal_str(F(a, b), digits) and F(row["exact"]) == F(a, b)
+
+
 @pytest.mark.parametrize("alphabet, patterns", [
     ("H:1/2,T:1/2", [["HTH"], ["HH,THT"]]),
     ("A:1/2,B:1/3,C:1/6", [["CAB"], ["AB,CA,BB"]]),
@@ -444,6 +504,22 @@ def test_a_closed_stdout_exits_141_quietly(fmt, unbuffered):
         proc.stdout.close()
         assert proc.stderr.read() == b""
         assert proc.wait(timeout=60) == 141
+
+
+def test_json_series_is_written_row_by_row(monkeypatch):
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", out := Recorder())
+    assert main(["first-passage", "--alphabet", "A:1/2,B:1/3,C:1/6", "--patterns", "CCCC", "--n", "400",
+                 "--format", "json"]) == 0
+    rows = json.loads(out.getvalue())["results"]["coefficients"]
+    # the whole series in one string would hold a second copy of a series of up to tens of megabytes
+    assert len(rows) == 401 and max(writes) <= 2 * max(len(json.dumps(row, indent=2)) for row in rows)
 
 
 def test_exit_code_2_on_parse_errors(capsys):
@@ -1164,6 +1240,10 @@ def test_benchmark_tracer_leaves_output_unchanged(capsys, monkeypatch):
         ["duel", "--alphabet", "H:1/3,T:2/3", "--patterns", "HHT,THH", "--method", "both"],
         ["duel", "--alphabet", "H:1/3,T:2/3", "--patterns", "HHT,THH", "--method", "equilibrium"],
         ["first-passage", "--alphabet", "H:1/2,T:1/2", "--patterns", "HTH", "--n", "5", "--format", "csv"],
+        # the series rows' JSON writer, while the tracer's namespace stands in for cli.json
+        ["duel", "--alphabet", "H:1/3,T:2/3", "--patterns", "HHT,THH", "--n", "5", "--method", "both",
+         "--format", "json"],
+        ["first-passage", "--alphabet", "H:1/2,T:1/2", "--patterns", "HTH", "--n", "5", "--format", "json"],
         ["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HHT", "--length", "3"],
         ["simulate", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH,TH", "--games", "500", "--format", "json"],
     ]
