@@ -14,12 +14,17 @@ SeedSequence([seed, c]), so results depend only on (seed, games) and stay
 identical however the chunks are scheduled.  They are played on up to one
 worker thread per usable core, the calling thread among them, and each
 chunk's integer tallies are summed afterwards, so reports are the same for
-any worker count; with one usable core no thread is started.  numpy
-releases the interpreter lock in the draws, the comparisons and the gather,
-so chunks overlap on a multi-core host.  Each step draws one double u
-per live game, in game order, and the symbol is the number of cumulative
-thresholds <= u (what searchsorted(..., side="right") returns), so reports
-equal those of earlier releases.  Symbol thresholds are double-precision
+any worker count; with one usable core no thread is started.  Each step
+draws one double u per live game, in game order, and the symbol is the
+number of cumulative thresholds <= u (what searchsorted(..., side="right")
+returns), so reports equal those of earlier releases.  State codes and the
+successor table are held in the narrowest unsigned type that holds the
+largest code (8 bits for up to 256 codes), each worker writes its
+comparisons into one bool buffer allocated once, and a step tests every
+game for absorption at once, counting wins by pattern only on steps where
+games end.  numpy releases the interpreter lock in the draws, the
+comparisons, the additions, the gather, the counts and the compaction, so
+chunks overlap on a multi-core host.  Symbol thresholds are double-precision
 floats; the analytic paths are unaffected.
 """
 
@@ -244,11 +249,11 @@ def simulate(ps: PatternSet, games: int, seed: int) -> SimReport:
     """Play `games` races to completion; deterministic for a given seed.
 
     A request over the trial budget is refused before any draw (see
-    check_simulation_budget).  See the module docstring for the PRNG and
-    chunking scheme.  Chunks are shared among min(chunks, usable cores)
-    workers, the calling thread among them; the first exception in any of
-    them stops the chunks not yet played and is raised once every worker
-    has ended, so no thread outlives the call.
+    check_simulation_budget).  See the module docstring for the PRNG, the
+    chunking scheme and the state codes.  Chunks are shared among
+    min(chunks, usable cores) workers, the calling thread among them; the
+    first exception in any of them stops the chunks not yet played and is
+    raised once every worker has ended, so no thread outlives the call.
     """
     if games < 1:
         raise ValueError("games must be >= 1")
@@ -258,9 +263,11 @@ def simulate(ps: PatternSet, games: int, seed: int) -> SimReport:
     import numpy as np  # only the simulator needs it, and it dominates import time
     auto = build_automaton(ps)
     nt, k = auto.n_transient, len(ps.alphabet)
-    # flat[s*k + c] is the successor s' pre-scaled to s'*k, or stop + j when pattern j completes
+    # table[s*k + c] is the successor s' pre-scaled to s'*k, or stop + j when pattern j completes,
+    # in the narrowest unsigned type that holds the largest code
     stop = nt * k
-    flat = np.array([n * k if n < nt else stop + n - nt for row in auto.transitions for n in row], dtype=np.int64)
+    code_type = np.min_scalar_type(stop + len(ps) - 1)
+    table = np.array([n * k if n < nt else stop + n - nt for row in auto.transitions for n in row], dtype=code_type)
     thresholds = np.cumsum(np.array([float(p) for p in ps.alphabet.probs]))[:-1]
     n_chunks = -(-games // _CHUNK)
     unclaimed = iter(range(n_chunks))
@@ -271,10 +278,10 @@ def simulate(ps: PatternSet, games: int, seed: int) -> SimReport:
 
     # a worker runs only numpy: bench/tracing.py wraps package functions with a span stack
     # that is not thread-safe, so every such call stays before the first worker starts
-    def play(chunk_index: int, buf) -> tuple[list[int], int, int]:
-        """Wins, duration sum and duration square sum of one chunk's games."""
+    def play(chunk_index: int, buf, mask) -> tuple[list[int], int, int]:
+        """Wins, duration sum and duration square sum of one chunk's games, in the worker's buffers."""
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, chunk_index])))
-        state = np.zeros(min(_CHUNK, games - chunk_index * _CHUNK), dtype=np.int64)  # s*k per live game
+        state = np.zeros(min(_CHUNK, games - chunk_index * _CHUNK), dtype=code_type)  # s*k per live game
         wins = [0] * len(ps)
         duration_sum = 0
         duration_sq_sum = 0
@@ -282,28 +289,33 @@ def simulate(ps: PatternSet, games: int, seed: int) -> SimReport:
         while state.size and not failed.is_set():
             t += 1
             u = rng.random(state.size, out=buf[: state.size])
+            step = mask[: state.size]
             for th in thresholds:
-                state += u >= th
-            nxt = flat[state]
-            if nxt.max() >= stop:
-                for j in range(len(wins)):
-                    ended = int(np.count_nonzero(nxt == stop + j))
-                    wins[j] += ended
-                    duration_sum += t * ended
-                    duration_sq_sum += t * t * ended
-                nxt = nxt[nxt < stop]
+                state += np.greater_equal(u, th, out=step)
+            nxt = table.take(state)
+            live = np.less(nxt, stop, out=step)
+            ended = state.size - int(np.count_nonzero(live))
+            if ended:
+                duration_sum += t * ended
+                duration_sq_sum += t * t * ended
+                for j in range(len(wins) - 1):  # the last pattern's wins are the rest
+                    won = int(np.count_nonzero(nxt == stop + j))
+                    wins[j] += won
+                    ended -= won
+                wins[-1] += ended
+                nxt = nxt[live]
             state = nxt
         return wins, duration_sum, duration_sq_sum
 
     def work() -> None:
         try:
-            buf = np.empty(min(games, _CHUNK))
+            buf, mask = np.empty(min(games, _CHUNK)), np.empty(min(games, _CHUNK), dtype=bool)
             while not failed.is_set():
                 with claim:
                     chunk_index = next(unclaimed, None)
                 if chunk_index is None:
                     return
-                tallies.append(play(chunk_index, buf))
+                tallies.append(play(chunk_index, buf, mask))
         except BaseException as exc:  # an interrupt too: raised by the caller after every join
             errors.append(exc)
             failed.set()

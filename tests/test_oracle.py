@@ -363,6 +363,22 @@ def test_simulate_equals_a_game_by_game_stepper(ps, games, seed):
     assert simulate(ps, games, seed) == stepped_simulation(ps, games, seed)
 
 
+# A coin race's codes run to stop + m - 1, stop being twice its transient states: H*127 against T tops out
+# at 255 (8 bits), H*128 against T at 257 (16 bits), and H*126 against TH and TT at 256 though its stop is 254.
+# At P(H) = 99/100 every pattern wins, so play reaches the top codes; 65,537 games span the chunk boundary.
+@pytest.mark.parametrize("texts, alphabet, games", [
+    (("H" * 127, "T"), Alphabet.coin(F(99, 100)), 400),
+    (("H" * 128, "T"), Alphabet.coin(F(99, 100)), 400),
+    (("H" * 126, "TH", "TT"), Alphabet.coin(F(99, 100)), 400),
+    (("H" * 128, "T"), COIN, 65_537),
+])
+def test_simulate_equals_the_stepper_across_the_code_width_and_chunk_boundaries(texts, alphabet, games):
+    ps = pset(*texts, alphabet=alphabet)
+    report = simulate(ps, games, seed=5)
+    assert report == stepped_simulation(ps, games, seed=5)
+    assert games > 1 << 16 or all(report.wins)
+
+
 def test_simulate_validates_arguments_before_loading_numpy():
     script = (
         "import sys\n"
