@@ -29,7 +29,6 @@ __all__ = [
     "RationalFunction",
     "SeriesPrefix",
     "SingularMatrixError",
-    "poly_gcd",
     "solve_linear_system",
     "solve_polynomial_system",
 ]
@@ -345,7 +344,7 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
-def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def _common_denominator(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """Integers v and the least e > 0 with values = v / e."""
     e = lcm(*(v.denominator for v in values))
     return [v.numerator * (e // v.denominator) for v in values], e
@@ -356,20 +355,18 @@ def solve_linear_system(matrix: Sequence[Sequence[int | Fraction]], rhs: Sequenc
 
     Entries must be ints or Fractions; any other entry is a TypeError.  Each
     row of [A | b] is scaled to integers by the lcm of its denominators,
-    which leaves x unchanged (a system of ints is used as it is), and
-    _bareiss solves the integer system.  Raises SingularMatrixError naming
-    the first column without a nonzero pivot.
+    which leaves x unchanged, and _bareiss solves the integer system.
+    Raises SingularMatrixError naming the first column without a nonzero
+    pivot.
     """
     m = len(matrix)
     if any(len(row) != m for row in matrix) or len(rhs) != m:
         raise ValueError("matrix must be square and match the rhs length")
     rows = [[*row, b] for row, b in zip(matrix, rhs)]
-    if not all(type(v) is int for row in rows for v in row):
-        if not all(isinstance(v, (int, Fraction)) for row in rows for v in row):
-            raise TypeError("solve_linear_system solves over Q (int or Fraction entries); "
-                            "use solve_polynomial_system for polynomial entries")
-        rows = [_common_denominator(row)[0] for row in rows]
-    y, d, _ = _bareiss(rows)
+    if not all(isinstance(v, (int, Fraction)) for row in rows for v in row):
+        raise TypeError("solve_linear_system solves over Q (int or Fraction entries); "
+                        "use solve_polynomial_system for polynomial entries")
+    y, d, _ = _bareiss([_common_denominator(row)[0] for row in rows])
     return [Fraction(yi, d) for yi in y]
 
 

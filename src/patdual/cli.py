@@ -388,7 +388,7 @@ def _render_table(doc: dict, out) -> None:
 
 
 def _render_csv(doc: dict, out) -> None:
-    """The primary table as CSV; a coefficient series comes first when present (plotting hook)."""
+    """The primary table as CSV; a coefficient series, when present, takes its place (plotting hook)."""
     series = doc["results"].get("coefficients")
     if series is not None:
         # no int, fraction literal or decimal holds a comma, quote or line break: csv.writer's bytes, unscanned;
