@@ -39,7 +39,6 @@ from .patterns import (
     PatternSet,
     PatternSetError,
     _brief,
-    _contains,
     exact_int,
     exact_str,
     parse_alphabet,
@@ -292,25 +291,20 @@ def cmd_best_response(args, alphabet: Alphabet, patterns: list[Pattern]) -> dict
         raise PatternSetError("best-response requires exactly one opponent pattern")
     opponent = patterns[0]
     _check_candidates_budget(alphabet, args.length, len(opponent), args.digits)
-    admitted, skipped = [], []  # by PatternSet's rules for a pair, checked here so that each skip has its reason
-    for symbols in itertools.product(range(len(alphabet)), repeat=args.length):
-        candidate = Pattern(alphabet, symbols)
-        if symbols == opponent.symbols:
-            skipped.append({"pattern": candidate.text, "reason": "identical to opponent"})
-        elif _contains(opponent.symbols, symbols):
-            skipped.append({"pattern": candidate.text, "reason": "substring of opponent"})
-        elif _contains(symbols, opponent.symbols):
-            skipped.append({"pattern": candidate.text, "reason": "contains opponent"})
-        else:
-            admitted.append(candidate)
-    wins = _response_wins(alphabet, opponent.symbols, [c.symbols for c in admitted])
-    # exact: float(w) is correctly rounded, so monotone, and float ties fall to w; stable: ties keep product's order
-    ranked = sorted(zip(admitted, wins), key=lambda item: (float(item[1]), item[1]), reverse=True)
+    groups, skipped = _response_wins(
+        alphabet, opponent.symbols, itertools.product(range(len(alphabet)), repeat=args.length))
+    labels, text = alphabet.symbols, "".join if alphabet.single_char else ",".join  # as Pattern.text
+    ranked = []
+    # exact: float(w) is correctly rounded, so monotone, and float ties fall to w; as each group keeps product's order,
+    # this is the stable sort of every candidate by its win
+    for w, group in sorted(groups, key=lambda item: (float(item[0]), item[0]), reverse=True):
+        row = {**_exact_decimal(w, args.digits), "percent": percent_str(w, args.digits)}
+        ranked += [{"pattern": text(map(labels.__getitem__, a)), **row} for a in group]
     return {
         "opponent": opponent.text,
         "length": args.length,
-        "candidates": _win_rows(ranked, args.digits),
-        "skipped": skipped,
+        "candidates": ranked,
+        "skipped": [{"pattern": text(map(labels.__getitem__, a)), "reason": reason} for a, reason in skipped],
     }
 
 

@@ -45,7 +45,7 @@ With m = 1, y = s and det = s N(z) z^L, which gives F(z) above.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
 from functools import cached_property
@@ -61,7 +61,7 @@ from .algebra import (
     solve_linear_system,  # unused here; bench/tracing.py patches pgf.solve_linear_system by name
     solve_polynomial_system,
 )
-from .patterns import Alphabet, Pattern, PatternSet, SymbolSeq, overlap_shifts, overlap_string
+from .patterns import Alphabet, Pattern, PatternSet, SymbolSeq, _contains, overlap_shifts, overlap_string
 
 __all__ = [
     "DuelSolution",
@@ -145,7 +145,7 @@ class DuelSolution:
     """Everything a race implies, each answer computed when first read and then kept.
 
     Every answer is read from `_table`, built by `_weights` as best-response's
-    rows are.  Win probabilities and moments come from one elimination of the
+    opponent row is.  Win probabilities and moments come from one elimination of the
     row-scaled N(1), replayed for the moments: win_i = u_0[i] / sum(u_0),
     N(1) u_0 = 1, and factorial moment k is k! [w^k] D(1 + w).
     `duration_series(n)` reads P(T = t) off the table's shifts by a recurrence
@@ -344,16 +344,52 @@ def solve_duel(ps: PatternSet) -> DuelSolution:
     return sol
 
 
-def _response_wins(alphabet: Alphabet, opponent: SymbolSeq, candidates: Iterable[SymbolSeq]) -> Iterator[Fraction]:
-    """Each candidate's win probability against opponent, neither a substring of the other, by Conway's rule."""
+def _response_numbers(alphabet: Alphabet, opponent: SymbolSeq) -> tuple[int, int, Callable]:
+    """s_B, n_BB and a function of a candidate A, a tuple: why A may not race the opponent B, by PatternSet's rules for
+    a pair, or Conway's numbers (s_A, n_AA, n_AB, n_BA).  B's numbers are built here, once; A's take two products and
+    slice tests over l = 1 .. len(A), and at a shift l of B into A, w_A[l] = s_A / P(A[:l]) reads P(A[:l]) off B."""
     nums, dens = [p.numerator for p in alphabet.probs], [p.denominator for p in alphabet.probs]
-    w_b = _weights(opponent, nums, dens)
-    n_bb = sum(w_b[l] for l in overlap_shifts(opponent, opponent))  # n_XY: X's weights over the shifts of Y into X
-    for symbols in candidates:
-        w_a = _weights(symbols, nums, dens)
-        n_aa, n_ab = (sum(w_a[l] for l in overlap_shifts(y, symbols)) for y in (symbols, opponent))
-        n_ba = sum(w_b[l] for l in overlap_shifts(symbols, opponent))
-        a, b, det = w_a[0] * n_bb - w_b[0] * n_ab, w_b[0] * n_aa - w_a[0] * n_ba, n_aa * n_bb - n_ab * n_ba
-        if not (a and b and det and (a > 0) == (b > 0) == (det > 0)):  # u_A = a / det and u_B = b / det, both > 0
-            raise ArithmeticError("win probabilities are not all positive; inputs violate an invariant")
-        yield Fraction(a, a + b)
+    b, k, w_b = tuple(opponent), len(opponent), _weights(opponent, nums, dens)
+    heads, tails, num, den = [[] for _ in nums], [[] for _ in nums], 1, 1  # l by A's first B[k - l] and last B[l - 1]
+    for l in range(1, k + 1):  # ascending: the l up to len(A) lie among the first len(A) of a list
+        num, den = num * nums[b[k - l]], den * dens[b[k - l]]  # P(B[k - l:]) = num / den
+        heads[b[k - l]].append((l, num, den))
+        tails[b[l - 1]].append(l)
+
+    def numbers(a: SymbolSeq) -> tuple[int, int, int, int] | str:
+        n = len(a)  # of B's length, only B itself is a substring or superstring of B
+        if a == b or n < k and _contains(b, a) or n > k and _contains(a, b):
+            return "identical to opponent" if n == k else "substring of opponent" if n < k else "contains opponent"
+        s_a, n_aa, n_ab, n_ba, first = prod(map(nums.__getitem__, a)), prod(map(dens.__getitem__, a)), 0, 0, a[0]
+        for l in range(1, n):  # n_aa holds w_A[n] already
+            if a[n - l] == first and a[:l] == a[n - l:]:
+                n_aa += s_a // prod(map(nums.__getitem__, a[:l])) * prod(map(dens.__getitem__, a[:l]))
+        for l, num, den in heads[first][:n]:
+            if l <= n and a[:l] == b[k - l:]:
+                n_ab += s_a // num * den
+        for l in tails[a[-1]][:n]:
+            if l <= n and a[n - l:] == b[:l]:
+                n_ba += w_b[l]
+        return s_a, n_aa, n_ab, n_ba
+
+    return w_b[0], sum(w_b[l] for l in overlap_shifts(b, b)), numbers
+
+
+def _response_wins(alphabet: Alphabet, opponent: SymbolSeq, candidates: Iterable[SymbolSeq]) -> tuple[list, list]:
+    """By Conway's rule, (win, group) for the candidates that may race opponent, each group in order, and the others,
+    in order, with their reasons.  Each key (s_A, n_AA, n_AB, n_BA) makes and checks its win once for its candidates."""
+    s_b, n_bb, numbers = _response_numbers(alphabet, opponent)
+    groups, by_key, skipped = {}, {}, []  # groups by win in lowest terms; by_key: each key's group
+    for a in candidates:
+        if (group := by_key.get(key := numbers(a))) is None:
+            if isinstance(key, str):
+                skipped.append((a, key))
+                continue
+            s_a, n_aa, n_ab, n_ba = key
+            x, y, det = s_a * n_bb - s_b * n_ab, s_b * n_aa - s_a * n_ba, n_aa * n_bb - n_ab * n_ba
+            if not (x and y and det and (x > 0) == (y > 0) == (det > 0)):  # u_A = x / det and u_B = y / det, both > 0
+                raise ArithmeticError("win probabilities are not all positive; inputs violate an invariant")
+            (p,), q = _lowest_terms([x], x + y)
+            group = by_key[key] = groups.setdefault((p, q), [])
+        group.append(a)
+    return [(_fraction(pair), group) for pair, group in groups.items()], skipped

@@ -629,7 +629,8 @@ def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch)
     monkeypatch.setattr(pgf.DuelSolution, "_series_pairs", work)  # the series of duel --n and first-passage
     monkeypatch.setattr(cli, "solve_duel", work)
     monkeypatch.setattr(cli, "first_passage_pgf", work)
-    monkeypatch.setattr(cli, "_response_wins", work)  # best-response's solves, which do not call solve_duel
+    monkeypatch.setattr(cli, "_response_wins", work)  # best-response's per-candidate route, which calls no solve_duel
+    monkeypatch.setattr(pgf, "_response_numbers", work)  # and the Conway numbers that route reads each candidate by
     monkeypatch.setattr(cli, "solve_equilibrium", work)
     for argv in (
         # default --n = 4 * ceil(mean) = 37,320 coefficients over denominators up to 6^37320
@@ -662,6 +663,9 @@ def test_requests_over_a_work_budget_exit_3_without_working(capsys, monkeypatch)
         code, _, err = run(capsys, *argv)
         assert code == 3 and "budget" in err, argv
         assert len(err.encode()) < 200, argv  # huge q and n are printed in brief
+    # the patched name is best-response's live route: a request within budget reaches it
+    with pytest.raises(AssertionError, match="work started"):
+        main(["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HHT", "--length", "3"])
 
 
 def test_candidate_budget_counts_the_exact_column():

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import itertools
 import json
@@ -12,15 +13,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import patdual.algebra as algebra
+import patdual.cli as cli
 import patdual.pgf as pgf
 from patdual.algebra import Poly, RationalFunction, SingularMatrixError
-from patdual.cli import main
+from patdual.cli import decimal_str, main, percent_str
 from patdual.oracle import oracle_duration, oracle_first_passage, oracle_win_probs
 from patdual.patterns import (
     Alphabet,
     Pattern,
     PatternSet,
     PatternSetError,
+    _contains,
+    exact_str,
+    overlap_shifts,
     overlap_string,
 )
 from patdual.pgf import (
@@ -627,22 +632,112 @@ def responses(draw):
 @given(responses())
 def test_response_wins_equal_the_race_solution(race):
     alphabet, opponent, candidates = race
-    wins = list(pgf._response_wins(alphabet, opponent, candidates))
-    assert len(wins) == len(candidates)
+    groups, skipped = pgf._response_wins(alphabet, opponent, candidates)
+    assert skipped == []
+    win = {symbols: w for w, group in groups for symbols in group}
+    assert len({w for w, _ in groups}) == len(groups)  # one group per win
+    for w, group in groups:  # the groups partition the candidates, each group in their order
+        assert group == [symbols for symbols in candidates if win[symbols] == w]
     q = math.lcm(*(p.denominator for p in alphabet.probs))
-    for symbols, win in zip(candidates, wins):
+    for symbols in candidates:
         ps = PatternSet(alphabet, (Pattern(alphabet, symbols), Pattern(alphabet, opponent)))
-        assert win == solve_duel(ps).win_probs[0]
+        assert win[symbols] == solve_duel(ps).win_probs[0]
         # the bound best-response's digit budget takes: u_A and u_A + u_B are at most 2 L q^L
         total = len(symbols) + len(opponent)
-        assert win.denominator <= 2 * total * q**total
+        assert win[symbols].denominator <= 2 * total * q**total
+
+
+@st.composite
+def sweeps(draw):
+    """A best-response request: an alphabet of 2-4 symbols, symmetric, with long denominators, or skewed, labelled by
+    one character or several; an opponent; and a candidate length, each of length at most 5."""
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["symmetric", "long", "skewed"]))
+    if kind == "symmetric":  # many keys, few wins: equal wins from different keys
+        probs = [F(1, n)] * n
+    elif kind == "long":
+        e = draw(st.integers(30, 120))
+        probs = [F(draw(st.integers(1, 9)), 10**e), *(F(1, n) for _ in range(n - 2))]
+        probs.append(1 - sum(probs))
+    else:
+        probs = [F(draw(st.integers(1, 6)), 6 * n) for _ in range(n - 1)]
+        probs.append(1 - sum(probs))
+    labels = draw(st.sampled_from(["ABCD", ["10", "2", "33", "4"]]))[:n]
+    alphabet = Alphabet(tuple(labels), tuple(probs))
+    opponent = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5)))
+    return alphabet, opponent, draw(st.integers(1, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweeps())
+def test_best_response_ranks_each_candidate_by_its_own_conway_numbers(sweep):
+    alphabet, opponent, length = sweep
+    nums, dens = [p.numerator for p in alphabet.probs], [p.denominator for p in alphabet.probs]
+    w_b = pgf._weights(opponent, nums, dens)
+    s_b, n_bb, numbers = pgf._response_numbers(alphabet, opponent)
+    assert (s_b, n_bb) == (w_b[0], sum(w_b[l] for l in overlap_shifts(opponent, opponent)))
+    text = "".join if alphabet.single_char else ",".join
+    rows, skipped = [], []
+    for symbols in itertools.product(range(len(alphabet)), repeat=length):
+        pattern = text(alphabet.symbols[c] for c in symbols)
+        if symbols == opponent:
+            reason = "identical to opponent"
+        elif _contains(opponent, symbols):
+            reason = "substring of opponent"
+        elif _contains(symbols, opponent):
+            reason = "contains opponent"
+        else:  # the overlap_shifts route: each weight list whole, each shift set by its own pass
+            w_a = pgf._weights(symbols, nums, dens)
+            n_aa, n_ab = (sum(w_a[l] for l in overlap_shifts(y, symbols)) for y in (symbols, opponent))
+            n_ba = sum(w_b[l] for l in overlap_shifts(symbols, opponent))
+            assert numbers(symbols) == (w_a[0], n_aa, n_ab, n_ba)
+            a, b = w_a[0] * n_bb - s_b * n_ab, s_b * n_aa - w_a[0] * n_ba
+            rows.append((pattern, F(a, a + b)))
+            continue
+        assert numbers(symbols) == reason
+        skipped.append({"pattern": pattern, "reason": reason})
+    rows = [{"pattern": pattern, "exact": exact_str(w), "decimal": decimal_str(w, 4), "percent": percent_str(w, 4)}
+            for pattern, w in sorted(rows, key=lambda row: row[1], reverse=True)]  # stable: ties keep product's order
+
+    argv = ["best-response", "--alphabet", ",".join(f"{c}:{p}" for c, p in zip(alphabet.symbols, alphabet.probs)),
+            "--patterns", text(alphabet.symbols[c] for c in opponent), "--length", str(length), "--format"]
+    printed = {}
+    for fmt in ("json", "csv", "table"):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main([*argv, fmt]) == 0
+        printed[fmt] = out.getvalue()
+    results = json.loads(printed["json"])["results"]
+    assert results["candidates"] == rows and results["skipped"] == skipped
+    ranked = [{"rank": str(i + 1), **row} for i, row in enumerate(rows)]
+    assert list(csv.DictReader(io.StringIO(printed["csv"]))) == ranked
+    table = printed["table"].splitlines()
+    head = table.index(next(line for line in table if line.startswith("rank")))
+    assert [dict(zip(ranked[0] if ranked else (), line.split())) for line in table[head + 1:head + 1 + len(rows)]] \
+        == ranked
 
 
 def test_best_response_reads_each_candidate_off_conways_rule_without_elimination(monkeypatch, capsys):
     eliminations, replays = record_eliminations(monkeypatch)
     monkeypatch.setattr(algebra, "_bareiss", lambda *args: pytest.fail("a candidate went through an elimination"))
-    weights, built = [], pgf._weights
+    weights, shifts, patterns, keys, reduced, wins = [], [], [], [], [], []
+    built, overlaps, numbers_of = pgf._weights, pgf.overlap_shifts, pgf._response_numbers
+    lowest_terms, fraction = pgf._lowest_terms, pgf._fraction
     monkeypatch.setattr(pgf, "_weights", lambda symbols, *args: weights.append(symbols) or built(symbols, *args))
+    monkeypatch.setattr(pgf, "overlap_shifts", lambda *args: shifts.append(args) or overlaps(*args))
+    monkeypatch.setattr(pgf, "_lowest_terms", lambda *args: reduced.append(args) or lowest_terms(*args))
+    monkeypatch.setattr(pgf, "_fraction", lambda pair: wins.append(pair) or fraction(pair))
+
+    def counted(*args):
+        s_b, n_bb, numbers = numbers_of(*args)
+        return s_b, n_bb, lambda symbols: keys.append(numbers(symbols)) or keys[-1]
+
+    monkeypatch.setattr(pgf, "_response_numbers", counted)
+    post_init = Pattern.__post_init__
+    monkeypatch.setattr(Pattern, "__post_init__", lambda self: patterns.append(self.symbols) or post_init(self))
+    renders = {name: [] for name in ("decimal_str", "percent_str")}
+    for name, calls in renders.items():
+        render = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, calls=calls, render=render: calls.append(args) or render(*args))
 
     def forbidden(*args):
         raise AssertionError("a candidate went through PatternSet, DuelSolution or solve_duel")
@@ -656,11 +751,17 @@ def test_best_response_reads_each_candidate_off_conways_rule_without_elimination
     ranked = json.loads(capsys.readouterr().out)["results"]["candidates"]
     assert len(ranked) == 26  # ABA itself is skipped
     assert eliminations == [] and replays == []  # no Bareiss elimination and no replay: a closed form each
-    assert weights.count((0, 1, 0)) == 1 and len(weights) == len(ranked) + 1  # the opponent's weights once
+    # the opponent's numbers once, and per candidate neither a Pattern, nor a weight list, nor an overlap_shifts pass
+    assert weights == [(0, 1, 0)] and shifts == [((0, 1, 0), (0, 1, 0))] and patterns == [(0, 1, 0)]
+    assert len(keys) == 27 and keys.count("identical to opponent") == 1
+    distinct = {win["exact"] for win in ranked}
+    assert len(reduced) == len(set(keys)) - 1 > len(distinct)  # one win in lowest terms per key; keys share wins
+    assert len(wins) == len(distinct)  # one Fraction per win
+    assert len(renders["decimal_str"]) == len(renders["percent_str"]) == len(distinct)  # one rendering per win
 
 
-def test_a_race_with_a_win_that_is_not_positive_is_refused(monkeypatch):
-    bareiss, weights = pgf._bareiss, pgf._weights
+def test_a_race_with_a_win_that_is_not_positive_is_refused(monkeypatch, capsys):
+    bareiss, numbers_of = pgf._bareiss, pgf._response_numbers
 
     def skewed(rows):  # a verified-looking solve whose first pattern never wins
         y, d, kept = bareiss(rows)
@@ -669,19 +770,30 @@ def test_a_race_with_a_win_that_is_not_positive_is_refused(monkeypatch):
     monkeypatch.setattr(pgf, "_bareiss", skewed)
     with pytest.raises(ArithmeticError, match="not all positive"):
         solve_duel(pset("HH", "TH"))
-    # TH against HH, both of weights 1, 2, 4: n_AA = 4, n_AB = 0, n_BA = 2, n_BB = 6; a = 6, b = 2, det = 24
-    def wins(candidate, opponent=lambda w: w):  # with TH's weights and HH's transformed
-        transform = {(1, 0): candidate, (0, 0): opponent}
-        monkeypatch.setattr(pgf, "_weights", lambda symbols, *args: transform[symbols](weights(symbols, *args)))
-        return list(pgf._response_wins(COIN, (0, 0), [(1, 0)]))
+    # TH against HH, both of weights 1, 2, 4: s_A = 1, n_AA = 4, n_AB = 0, n_BA = 2, s_B = 1, n_BB = 6;
+    # a = s_A n_BB - s_B n_AB = 6, b = s_B n_AA - s_A n_BA = 2, det = n_AA n_BB - n_AB n_BA = 24
+    assert numbers_of(COIN, (0, 0))[:2] == (1, 6) and numbers_of(COIN, (0, 0))[2]((1, 0)) == (1, 4, 0, 2)
 
-    negate_s, negate_n = (lambda w: [-w[0], *w[1:]]), (lambda w: [w[0], *(-v for v in w[1:])])
-    for skew in (
+    def skew(candidate, s_b=lambda s: s):  # the candidates' numbers and s_B transformed, as a faulty route would
+        def numbers(alphabet, opponent):
+            s, n_bb, of = numbers_of(alphabet, opponent)
+            return s_b(s), n_bb, lambda symbols: key if isinstance(key := of(symbols), str) else candidate(*key)
+
+        monkeypatch.setattr(pgf, "_response_numbers", numbers)
+
+    negate_s, negate_n = (lambda s, *n: (-s, *n)), (lambda s, *n: (s, *(-v for v in n)))
+    for skewing in (
         (negate_s,),  # a = -6, b = 6, det = 24
         (negate_n,),  # n_AA = -4: a = 6, b = -6, det = -24
-        (negate_n, negate_s),  # and s_B = -1: a = 6, b = 2, det = -24, so u_A, u_B < 0 though a / (a + b) = 3/4
+        (negate_n, lambda s: -s),  # and s_B = -1: a = 6, b = 2, det = -24, so u_A, u_B < 0 though a / (a + b) = 3/4
     ):
+        skew(*skewing)
         with pytest.raises(ArithmeticError, match="not all positive"):
-            wins(*skew)
-    # every weight of TH negated negates a, b and det alike (-6, -2, -24): u_A and u_B stand, and so does 3/4
-    assert wins(lambda w: [-v for v in w]) == [F(3, 4)]
+            pgf._response_wins(COIN, (0, 0), [(1, 0)])
+        # through the command line, every admitted reply to HH is skewed alike, and the request exits 4
+        assert main(["best-response", "--alphabet", "H:1/2,T:1/2", "--patterns", "HH", "--length", "2"]) == 4
+        assert "not all positive" in capsys.readouterr().err
+    # every weight of TH negated (s_A, n_AA and n_AB; n_BA sums HH's) negates a, b and det alike (-6, -2, -24):
+    # u_A and u_B stand, and so does 3/4
+    skew(lambda s, n_aa, n_ab, n_ba: (-s, -n_aa, -n_ab, n_ba))
+    assert pgf._response_wins(COIN, (0, 0), [(1, 0)]) == ([(F(3, 4), [(1, 0)])], [])
